@@ -14,6 +14,9 @@
  *    (AddressSpace::id(), vpn). The waiter map feeds wake order and
  *    the audit walk; these fingerprints prove the swap changed
  *    nothing observable.
+ *  - The single- and multi-tenant machines sharing one rig: the
+ *    ZRAM, memcg-limit and slow-tier single-tenant pins and the
+ *    per-tenant colocation pins cover the build paths that merge.
  *
  * If a fingerprint changes, the refactor being tested altered
  * simulated behavior: find the divergence, don't re-record. Only
@@ -25,6 +28,7 @@
 
 #include <cstdint>
 
+#include "harness/colocation.hh"
 #include "harness/experiment.hh"
 
 namespace pagesim
@@ -109,8 +113,8 @@ fingerprint(const TrialResult &r)
     return h.value();
 }
 
-std::uint64_t
-run(WorkloadKind wl, PolicyKind policy)
+ExperimentConfig
+smallCell(WorkloadKind wl, PolicyKind policy)
 {
     ExperimentConfig cfg;
     cfg.workload = wl;
@@ -119,13 +123,52 @@ run(WorkloadKind wl, PolicyKind policy)
     cfg.capacityRatio = 0.5;
     cfg.scale = ScalePreset::Small;
     cfg.baseSeed = 12345;
-    return fingerprint(runTrial(cfg, /*trial_seed=*/12345));
+    return cfg;
+}
+
+std::uint64_t
+run(WorkloadKind wl, PolicyKind policy)
+{
+    return fingerprint(runTrial(smallCell(wl, policy),
+                                /*trial_seed=*/12345));
+}
+
+/** The three-tenant scenario of colocation_test.cpp. */
+ColocationConfig
+threeTenants()
+{
+    ColocationConfig config;
+    TenantSpec ycsb;
+    ycsb.name = "ycsb";
+    ycsb.workload = WorkloadKind::YcsbA;
+    ycsb.lowRatio = 0.5;
+    TenantSpec tpch;
+    tpch.name = "tpch";
+    tpch.workload = WorkloadKind::Tpch;
+    tpch.maxRatio = 0.6;
+    TenantSpec ranker;
+    ranker.name = "ranker";
+    ranker.workload = WorkloadKind::PageRank;
+    ranker.highRatio = 0.7;
+    config.tenants = {ycsb, tpch, ranker};
+    config.capacityRatio = 0.5;
+    return config;
+}
+
+std::vector<std::uint64_t>
+tenantFingerprints(const ColocationConfig &config)
+{
+    std::vector<std::uint64_t> fps;
+    for (const TenantResult &t : runColocationTrial(config, 7).tenants)
+        fps.push_back(tenantFingerprint(t));
+    return fps;
 }
 
 /*
  * To re-record after a deliberate model change:
  *   build/tests/harness_test --gtest_filter='BitIdentity.*' and copy
- * the "actual" value from each failure message into the pins.
+ * the "actual" value from each failure message into the pins (for
+ * the colocation pins, the whole per-tenant vector).
  */
 
 TEST(BitIdentity, YcsbAMgLruSsdPinned)
@@ -144,6 +187,62 @@ TEST(BitIdentity, PageRankMgLruSsdPinned)
 {
     EXPECT_EQ(run(WorkloadKind::PageRank, PolicyKind::MgLru),
               15287283016998830679ull);
+}
+
+TEST(BitIdentity, YcsbAClockZramPinned)
+{
+    ExperimentConfig cfg =
+        smallCell(WorkloadKind::YcsbA, PolicyKind::Clock);
+    cfg.swap = SwapKind::Zram;
+    EXPECT_EQ(fingerprint(runTrial(cfg, 12345)),
+              6281569637407502594ull);
+}
+
+TEST(BitIdentity, MemcgMaxRatioPinned)
+{
+    // Limit ratios move the lone tenant into a "workload" memcg whose
+    // memory.max runs limit reclaim inside the faulting task.
+    ExperimentConfig cfg =
+        smallCell(WorkloadKind::YcsbA, PolicyKind::MgLru);
+    cfg.memcgMaxRatio = 0.4;
+    EXPECT_EQ(fingerprint(runTrial(cfg, 12345)),
+              9081508063671702370ull);
+}
+
+TEST(BitIdentity, SlowTierPinned)
+{
+    ExperimentConfig cfg =
+        smallCell(WorkloadKind::YcsbA, PolicyKind::MgLru);
+    cfg.slowTierRatio = 0.25;
+    const TrialResult r = runTrial(cfg, 12345);
+    EXPECT_EQ(fingerprint(r), 10433327569158231340ull);
+    // fingerprint() predates tiering; pin the tier counters too.
+    Fnv tier;
+    tier.add(r.tier.demotions);
+    tier.add(r.tier.promotions);
+    tier.add(r.tier.slowHits);
+    tier.add(r.tier.slowEvictions);
+    EXPECT_GT(r.tier.demotions, 0u);
+    EXPECT_EQ(tier.value(), 11473481474633530272ull);
+}
+
+TEST(BitIdentity, ColocationThreeTenantsPinned)
+{
+    const std::vector<std::uint64_t> want = {
+        12810185064311438883ull, 3549933159575256792ull,
+        16497275574195911397ull};
+    EXPECT_EQ(tenantFingerprints(threeTenants()), want);
+}
+
+TEST(BitIdentity, ColocationMixedPolicyPinned)
+{
+    // A Clock tenant beside MG-LRU tenants: per-tenant policy override.
+    ColocationConfig config = threeTenants();
+    config.tenants[1].policy = PolicyKind::Clock;
+    const std::vector<std::uint64_t> want = {
+        8508069935470828896ull, 7548003370203508505ull,
+        6257566020947535833ull};
+    EXPECT_EQ(tenantFingerprints(config), want);
 }
 
 /*

@@ -243,6 +243,58 @@ TEST(CheckpointIdentity, ColocationDifferential)
     EXPECT_EQ(warm.totalTouches, straight.totalTouches);
 }
 
+/** FNV-1a over a checkpoint image's bytes. */
+std::uint64_t
+imageHash(const Checkpoint &ckpt)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : ckpt.bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(CheckpointIdentity, ImageBytesAndPrefixHashesPinned)
+{
+    // Prefix hashes name the on-disk images and image bytes are their
+    // content: a change orphans every saved image. Pinned for one
+    // single-tenant cell and one colocation scenario, cold-captured.
+    constexpr std::uint64_t kBoundary = 20000;
+    CheckpointCache &cache = CheckpointCache::instance();
+    cache.clear();
+
+    ExperimentConfig cell = smallConfig(WorkloadKind::YcsbA,
+                                        PolicyKind::MgLru, SwapKind::Ssd);
+    cell.checkpointAt = kBoundary;
+    runTrial(cell, 12345);
+    const auto solo =
+        cache.find(configPrefixHash(cell), 12345, kBoundary);
+    ASSERT_NE(solo, nullptr);
+    EXPECT_EQ(configPrefixHash(cell), 9449109304945610460ull);
+    EXPECT_EQ(imageHash(*solo), 14305059465999215634ull);
+
+    ColocationConfig colo;
+    TenantSpec ycsb;
+    ycsb.name = "ycsb";
+    ycsb.workload = WorkloadKind::YcsbA;
+    ycsb.lowRatio = 0.5;
+    TenantSpec tpch;
+    tpch.name = "tpch";
+    tpch.workload = WorkloadKind::Tpch;
+    tpch.policy = PolicyKind::Clock;
+    tpch.maxRatio = 0.6;
+    colo.tenants = {ycsb, tpch};
+    colo.checkpointAt = kBoundary;
+    runColocationTrial(colo, 7);
+    const auto multi =
+        cache.find(colocationPrefixHash(colo), 7, kBoundary);
+    ASSERT_NE(multi, nullptr);
+    EXPECT_EQ(colocationPrefixHash(colo), 46510948456541419ull);
+    EXPECT_EQ(imageHash(*multi), 2615945200018516123ull);
+    cache.clear();
+}
+
 TEST(CheckpointWarmup, FunctionalWarmupDeterministicAndCacheable)
 {
     ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
