@@ -886,10 +886,11 @@ main(int argc, char **argv)
     double ff_full_secs = 0.0;
     double ff_functional_secs = 0.0;
     {
-        TrialRigOptions opts;
-        opts.deferObservers = true;
+        // The boundary keeps observers detached until it is reached.
+        ExperimentConfig cfg = big_cfg;
+        cfg.checkpointAt = big_boundary;
         const auto start = Clock::now();
-        TrialRig rig(big_cfg, big_cfg.baseSeed, opts);
+        TrialRig rig(cfg, cfg.baseSeed, TrialRigOptions{});
         std::uint64_t used = 0;
         const bool ok =
             rig.runToBoundary(big_boundary, 2000000000ull, used);
@@ -898,11 +899,11 @@ main(int argc, char **argv)
                     ok ? "" : " (boundary not reached!)");
     }
     {
-        TrialRigOptions opts;
-        opts.deferObservers = true;
-        opts.functional = true;
+        // A warmup window starts the rig in functional-only mode.
+        ExperimentConfig cfg = big_cfg;
+        cfg.warmupRefs = big_boundary;
         const auto start = Clock::now();
-        TrialRig rig(big_cfg, big_cfg.baseSeed, opts);
+        TrialRig rig(cfg, cfg.baseSeed, TrialRigOptions{});
         std::uint64_t used = 0;
         const bool ok =
             rig.runToBoundary(big_boundary, 2000000000ull, used);

@@ -14,12 +14,16 @@
  * limit-reclaim are all observable per tenant.
  *
  * Determinism: trials are bit-identical across host worker counts.
- * Per-tenant RNG streams fork off the trial seed by tenant NAME
- * ("policy-<name>", ASLR by tenant index), so adding a tenant never
- * perturbs another tenant's streams, and the per-tenant results of a
- * given (config, seed) pair are stable regardless of scheduling
- * (tests/harness/colocation_test.cpp pins this across PAGESIM_WORKERS
- * 1/2/4).
+ * A scenario runs on the same TrialRig a single-workload trial uses
+ * (trial_rig.hh): per-tenant RNG streams fork off the trial seed by
+ * tenant NAME ("policy-<name>", "thread-start-<name>") and ASLR/env
+ * seeds by tenant index, so adding a tenant never perturbs another
+ * tenant's streams, and the per-tenant results of a given (config,
+ * seed) pair are stable regardless of scheduling. runColocation's
+ * trials drain through the same parallelFor pool as runSweep.
+ * tests/harness/colocation_test.cpp checks this across scan worker
+ * counts and pool sizes; bit_identity_test.cpp pins the per-tenant
+ * fingerprints.
  */
 
 #ifndef PAGESIM_HARNESS_COLOCATION_HH
@@ -67,6 +71,11 @@ struct ColocationConfig
     SwapKind swap = SwapKind::Ssd;
     /** Total machine memory as a fraction of the summed footprints. */
     double capacityRatio = 0.5;
+    /**
+     * Slow-tier capacity as a fraction of the summed footprints (0
+     * disables tiering); see ExperimentConfig::slowTierRatio.
+     */
+    double slowTierRatio = 0.0;
     unsigned trials = 4;
     std::uint64_t baseSeed = 1;
     unsigned numCpus = 12;
@@ -139,9 +148,10 @@ ColocationTrialResult runColocationTrial(const ColocationConfig &config,
                                          std::uint64_t trial_seed);
 
 /**
- * Run all trials of a scenario in parallel across host threads
- * (PAGESIM_WORKERS caps the pool; PAGESIM_TRIALS overrides trials).
- * Trial seeds derive exactly like runExperiment's.
+ * Run all trials of a scenario on the parallelFor pool, sized like
+ * runSweep's (PAGESIM_WORKERS, else one per hardware thread);
+ * PAGESIM_TRIALS overrides trials. Seeds come from trialSeed(), as
+ * runExperiment's do.
  */
 ColocationResult runColocation(const ColocationConfig &config);
 

@@ -1,32 +1,19 @@
 #include "harness/experiment.hh"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 
-#include "harness/checkpoint.hh"
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 
-#include "check/mm_audit.hh"
 #include "graph/pagerank_workload.hh"
-#include "kernel/aging_daemon.hh"
-#include "kernel/background_noise.hh"
-#include "kernel/kswapd.hh"
-#include "kernel/memory_manager.hh"
-#include "kernel/mm_metrics.hh"
-#include "metrics/export.hh"
 #include "kv/ycsb_workload.hh"
-#include "sim/simulation.hh"
-#include "swap/ssd_device.hh"
-#include "swap/swap_manager.hh"
-#include "swap/zram_device.hh"
+#include "metrics/export.hh"
 #include "tpch/tpch_workload.hh"
 #include "workload/file_buffer_workload.hh"
-#include "workload/work_thread.hh"
 
 namespace pagesim
 {
@@ -197,7 +184,9 @@ auditEveryOverrideCache()
  * PAGESIM_METRICS=off|counters|full overrides the config's metrics
  * mode; PAGESIM_METRICS_DIR overrides the artifact directory. Both
  * are launch-time knobs, read and parsed once per process (runTrial
- * sits on the sweep hot path).
+ * sits on the sweep hot path). A mode that does not parse stops the
+ * process: silently running without the metrics asked for would
+ * leave the user with no artifacts and no reason why.
  */
 std::optional<MetricsMode>
 metricsModeOverride()
@@ -206,7 +195,16 @@ metricsModeOverride()
         const char *text = std::getenv("PAGESIM_METRICS");
         if (text == nullptr || *text == '\0')
             return std::optional<MetricsMode>{};
-        return std::optional<MetricsMode>{parseMetricsMode(text)};
+        const std::optional<MetricsMode> mode = parseMetricsMode(text);
+        if (!mode) {
+            std::fprintf(stderr,
+                         "pagesim: PAGESIM_METRICS=%s is not a metrics "
+                         "mode; accepted: off, counters, full "
+                         "(or on, 1)\n",
+                         text);
+            std::exit(2);
+        }
+        return mode;
     }();
     return cache;
 }
@@ -237,9 +235,9 @@ detail::refreshAuditEveryOverrideCacheForTests()
 }
 
 MetricsConfig
-effectiveMetricsConfig(const ExperimentConfig &config)
+effectiveMetricsConfig(const MetricsConfig &requested)
 {
-    MetricsConfig m = config.metrics;
+    MetricsConfig m = requested;
     if (const auto mode = metricsModeOverride()) {
         m.mode = *mode;
         // An env opt-in without a destination still wants artifacts.
@@ -276,153 +274,41 @@ writeTrialArtifacts(const std::string &dir, const std::string &label,
     return base;
 }
 
-namespace
-{
-
-/**
- * Build a rig parked at the fast-forward boundary (max of warmupRefs
- * and checkpointAt, > 0). With a cacheable checkpointAt, a cached
- * snapshot short-circuits the warmup entirely: a forRestore rig is
- * rebuilt (construction only — empty event queue) and the snapshot
- * applied. Otherwise the machine is simulated to the boundary — in
- * functional-only mode while inside the warmupRefs window — and, if
- * cacheable, captured for the next caller. Observers attach only
- * after the boundary, so the warmup runs without metrics or audits
- * and capture/restore always sees a quiescent machine.
- */
-std::unique_ptr<TrialRig>
-buildRigAtBoundary(const ExperimentConfig &config,
-                   std::uint64_t trial_seed, std::uint64_t boundary,
-                   std::uint64_t max_events, std::uint64_t &events_used)
-{
-    // An mgTweak hook changes the simulated machine in ways no key can
-    // capture, so such configs never touch the cache (same rule as the
-    // sweep-level ResultCache).
-    const bool cacheable = config.checkpointAt > 0 && !config.mgTweak;
-    const std::uint64_t hash = configPrefixHash(config);
-    if (cacheable) {
-        if (auto ckpt = CheckpointCache::instance().find(
-                hash, trial_seed, boundary)) {
-            TrialRigOptions opts;
-            opts.forRestore = true;
-            opts.deferObservers = true;
-            auto rig = std::make_unique<TrialRig>(config, trial_seed,
-                                                  opts);
-            const CheckpointError err = restoreCheckpoint(
-                rig->view(), hash, trial_seed, *ckpt);
-            if (err.ok()) {
-                rig->installObservers();
-                return rig;
-            }
-            // A failed apply can leave partial state behind; the rig
-            // is discarded wholesale and the trial re-simulated cold.
-            std::fprintf(stderr,
-                         "pagesim: checkpoint restore failed (%s: %s); "
-                         "re-simulating\n",
-                         checkpointErrorKindName(err.kind),
-                         err.message.c_str());
-        }
-    }
-
-    TrialRigOptions opts;
-    opts.deferObservers = true;
-    opts.functional = config.warmupRefs > 0;
-    auto rig = std::make_unique<TrialRig>(config, trial_seed, opts);
-    const bool reached =
-        rig->runToBoundary(boundary, max_events, events_used);
-    // Full detail from here on — before the capture, so cold and
-    // restored continuations run the identical machine.
-    if (rig->mm->functionalMode())
-        rig->mm->setFunctionalMode(false);
-    if (reached && cacheable) {
-        auto ckpt = std::make_shared<Checkpoint>();
-        if (captureCheckpoint(rig->view(), hash, trial_seed, boundary,
-                              *ckpt)
-                .ok()) {
-            CheckpointCache::instance().insert(std::move(ckpt));
-        }
-    }
-    rig->installObservers();
-    return rig;
-}
-
-} // namespace
-
 TrialResult
 runTrial(const ExperimentConfig &config, std::uint64_t trial_seed)
 {
-    constexpr std::uint64_t kMaxEvents = 2000000000ull;
-    const std::uint64_t boundary =
-        std::max(config.warmupRefs, config.checkpointAt);
-    std::uint64_t events_used = 0;
-
-    std::unique_ptr<TrialRig> rig;
-    if (boundary == 0) {
-        rig = std::make_unique<TrialRig>(config, trial_seed,
-                                         TrialRigOptions{});
-    } else {
-        rig = buildRigAtBoundary(config, trial_seed, boundary,
-                                 kMaxEvents, events_used);
-    }
-
-    // --- Run to completion. ----------------------------------------
-    const bool done = rig->sim.runToCompletion(kMaxEvents - events_used);
-    if (!done) {
-        std::fprintf(stderr,
-                     "pagesim: trial %s seed %llu did not converge\n",
-                     config.label().c_str(),
-                     static_cast<unsigned long long>(trial_seed));
-        std::abort();
-    }
-
-    // --- Collect results. -------------------------------------------
     TrialResult r;
-    Simulation &sim = rig->sim;
-    MemoryManager &mm = *rig->mm;
+    const std::unique_ptr<TrialRig> rig =
+        driveTrial(config, trial_seed, r.metrics);
+
+    const TrialRig::Tenant &tenant = rig->tenants.front();
+    const MemoryManager &mm = *rig->mm;
     r.kernel = mm.stats();
-    r.policy = rig->policy->stats();
+    r.policy = tenant.policy->stats();
     r.swap = rig->device->stats();
     r.tier = mm.tierStats();
-    if (auto *mg = dynamic_cast<MgLruPolicy *>(rig->policy.get()))
+    if (auto *mg = dynamic_cast<MgLruPolicy *>(tenant.policy.get()))
         r.mglru = mg->mgStats();
     r.kswapdCpuNs = rig->kswapd->cpuWork();
-    if (rig->aging) {
-        r.agingCpuNs = rig->aging->cpuWork();
-        r.agingPasses = rig->aging->passes();
-    }
-    for (const auto &t : rig->threads) {
+    for (const auto &t : rig->threads.front()) {
         r.threadFinishNs.push_back(t->threadStats().finishTime);
         r.threadBlockedFaults.push_back(
             t->threadStats().blockedFaults);
     }
     r.totalTouches = rig->totalRefs();
 
+    const SimTime now = rig->sim.now();
     if (auto *ycsb =
-            dynamic_cast<YcsbWorkload *>(rig->workload.get())) {
-        r.runtimeNs = sim.now() - ycsb->measureStart();
+            dynamic_cast<YcsbWorkload *>(tenant.workload.get())) {
+        r.runtimeNs = now - ycsb->measureStart();
         r.majorFaults =
             mm.stats().majorFaults - ycsb->faultsAtMeasureStart();
         r.readLatency = ycsb->readLatency();
         r.writeLatency = ycsb->writeLatency();
-        const std::uint64_t nreq =
-            r.readLatency.count() + r.writeLatency.count();
-        if (nreq > 0) {
-            r.meanRequestNs =
-                (r.readLatency.mean() * r.readLatency.count() +
-                 r.writeLatency.mean() * r.writeLatency.count()) /
-                static_cast<double>(nreq);
-        }
+        r.meanRequestNs = meanLatencyNs(r.readLatency, r.writeLatency);
     } else {
-        r.runtimeNs = sim.now();
+        r.runtimeNs = now;
         r.majorFaults = mm.stats().majorFaults;
-    }
-    if (rig->collector) {
-        rig->collector->sampler().stop();
-        r.metrics = rig->collector->snapshot(sim.now());
-        if (!rig->metricsConfig.artifactDir.empty()) {
-            writeTrialArtifacts(rig->metricsConfig.artifactDir,
-                                config.label(), trial_seed, r.metrics);
-        }
     }
     return r;
 }
@@ -457,7 +343,13 @@ trialsOverrideCache()
 unsigned
 effectiveTrials(const ExperimentConfig &config)
 {
-    return trialsOverrideCache().value_or(config.trials);
+    return effectiveTrials(config.trials);
+}
+
+unsigned
+effectiveTrials(unsigned configured)
+{
+    return trialsOverrideCache().value_or(configured);
 }
 
 void

@@ -121,10 +121,11 @@ struct ExperimentConfig
     /**
      * Optional cgroup-v2 watermarks on the (single) workload memcg,
      * as fractions of the footprint; 0 disables the respective limit.
-     * All-zero (the default) constructs the manager through the
-     * legacy single-tenant path and is bit-identical to the pre-memcg
-     * harness. Multi-tenant scenarios live in colocation.hh; these
-     * knobs study limit-reclaim and throttling on a lone workload.
+     * All-zero (the default) keeps the workload in the unlimited root
+     * memcg, bit-identical to the pre-memcg harness; any limit moves
+     * it into a "workload" memcg. Multi-tenant scenarios live in
+     * colocation.hh; these knobs study limit-reclaim and throttling on
+     * a lone workload.
      * Note: with a single memcg, memory.low does not shield it from
      * global reclaim (protection is relative to siblings, as in the
      * kernel); only high/max change behavior here.
@@ -258,13 +259,18 @@ std::optional<unsigned> parseTrialsOverride(const char *text);
  */
 unsigned effectiveTrials(const ExperimentConfig &config);
 
+/** The same override applied to a bare @p configured trial count. */
+unsigned effectiveTrials(unsigned configured);
+
 /**
- * config.metrics after applying the PAGESIM_METRICS /
+ * A config's @p requested metrics after applying the PAGESIM_METRICS /
  * PAGESIM_METRICS_DIR env overrides (cached once per process). When
  * the env enables metrics without naming a directory, artifacts land
- * in "pagesim_metrics/".
+ * in "pagesim_metrics/". A PAGESIM_METRICS value parseMetricsMode()
+ * rejects is a launch error: the process prints the accepted values
+ * and exits with status 2.
  */
-MetricsConfig effectiveMetricsConfig(const ExperimentConfig &config);
+MetricsConfig effectiveMetricsConfig(const MetricsConfig &requested);
 
 /**
  * Write the per-trial artifact files for @p snapshot under @p dir

@@ -1,7 +1,6 @@
 #include "harness/sweep.hh"
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 
 #include "sim/parallel.hh"
 
@@ -11,7 +10,13 @@ namespace pagesim
 std::uint64_t
 trialSeed(const ExperimentConfig &config, unsigned trial)
 {
-    return config.baseSeed + 1000003ull * trial;
+    return trialSeed(config.baseSeed, trial);
+}
+
+std::uint64_t
+trialSeed(std::uint64_t base_seed, unsigned trial)
+{
+    return base_seed + 1000003ull * trial;
 }
 
 std::vector<ExperimentResult>
@@ -33,56 +38,25 @@ runSweep(const std::vector<ExperimentConfig> &cells,
         for (unsigned t = 0; t < trials; ++t)
             tasks.push_back({c, t});
     }
-    if (tasks.empty())
-        return results;
 
-    unsigned workers = options.workers;
-    if (workers == 0)
-        workers = workerOverride();
-    if (workers == 0) {
-        // Resolved once per process: hardware_concurrency() is a
-        // syscall on some libstdc++ targets, and figure benches call
-        // runSweep per figure.
-        static const unsigned hw = [] {
-            const unsigned n = std::thread::hardware_concurrency();
-            return n == 0 ? 4u : n;
-        }();
-        workers = hw;
-    }
     // A pool only pays for itself when every worker gets a few trials;
     // below that, thread spawn/join overhead makes the "parallel" path
     // slower than just draining inline (the sweep.speedup < 1 trap on
     // small hosts). Degrade rather than spawn idle threads.
-    workers = std::min<std::size_t>(workers, tasks.size() / 2);
-    if (workers == 0)
-        workers = 1;
+    const unsigned workers = static_cast<unsigned>(std::max<std::size_t>(
+        1, std::min<std::size_t>(poolWorkers(options.workers),
+                                 tasks.size() / 2)));
 
-    // Task claiming is a single atomic chase; each task writes only
-    // its own pre-sized result slot, so no further synchronization is
-    // needed and results are independent of claim order.
-    std::atomic<std::size_t> next{0};
-    auto drain = [&] {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= tasks.size())
-                return;
-            const Task &task = tasks[i];
-            const ExperimentConfig &config = cells[task.cell];
-            results[task.cell].trials[task.trial] =
-                runTrial(config, trialSeed(config, task.trial));
-        }
-    };
-
-    if (workers == 1) {
-        drain();
-        return results;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(drain);
-    for (auto &t : pool)
-        t.join();
+    // Each task writes only its own slot of a flat buffer, so results
+    // are independent of claim order; they move into their cells after
+    // the pool drains.
+    std::vector<TrialResult> done(tasks.size());
+    parallelFor(workers, tasks.size(), [&](std::size_t i) {
+        const ExperimentConfig &config = cells[tasks[i].cell];
+        done[i] = runTrial(config, trialSeed(config, tasks[i].trial));
+    });
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+        results[tasks[i].cell].trials[tasks[i].trial] = std::move(done[i]);
     return results;
 }
 

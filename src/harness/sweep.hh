@@ -6,10 +6,10 @@
  * leaves the host idle at every cell boundary (the last straggling
  * trial barriers the whole cell). A figure bench runs 10-40 cells, so
  * those barriers add up. runSweep() instead flattens *all* (cell x
- * trial) pairs of a figure into one task list consumed by a shared
- * worker pool: the host stays saturated until the final trial of the
- * final cell, while per-trial seeding stays byte-identical to the
- * serial path (seed = baseSeed + 1000003 * trial, independent of
+ * trial) pairs of a figure into one task list drained by parallelFor
+ * (sim/parallel.hh): the host stays saturated until the final trial
+ * of the final cell, while per-trial seeding stays byte-identical to
+ * the serial path (seed = baseSeed + 1000003 * trial, independent of
  * which worker runs the task or in what order).
  */
 
@@ -41,6 +41,9 @@ struct SweepOptions
 /** The deterministic seed of trial @p trial of a cell (the same
  *  derivation runExperiment uses). */
 std::uint64_t trialSeed(const ExperimentConfig &config, unsigned trial);
+
+/** The same derivation from a bare base seed (colocation scenarios). */
+std::uint64_t trialSeed(std::uint64_t base_seed, unsigned trial);
 
 /**
  * Run every trial of every cell on one shared pool.

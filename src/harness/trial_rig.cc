@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "kernel/mm_metrics.hh"
 #include "swap/ssd_device.hh"
@@ -24,19 +26,81 @@ ratioFrames(double ratio, std::uint64_t footprint, std::uint32_t off)
                                       ratio));
 }
 
+/**
+ * A paper cell as a one-tenant machine. The tenant's memcg is the
+ * unlimited root group unless limit ratios are set; then it is the
+ * lone "workload" group those ratios bound (limit-reclaim and
+ * throttling studies).
+ */
+ColocationConfig
+soloMachine(const ExperimentConfig &config)
+{
+    TenantSpec tenant;
+    tenant.name = config.memcgLimitsConfigured() ? "workload" : "root";
+    tenant.workload = config.workload;
+    tenant.scale = config.scale;
+    tenant.lowRatio = config.memcgLowRatio;
+    tenant.highRatio = config.memcgHighRatio;
+    tenant.maxRatio = config.memcgMaxRatio;
+
+    ColocationConfig machine;
+    machine.tenants = {tenant};
+    machine.policy = config.policy;
+    machine.swap = config.swap;
+    machine.capacityRatio = config.capacityRatio;
+    machine.slowTierRatio = config.slowTierRatio;
+    machine.trials = config.trials;
+    machine.baseSeed = config.baseSeed;
+    machine.numCpus = config.numCpus;
+    machine.mgTweak = config.mgTweak;
+    machine.metrics = config.metrics;
+    machine.warmupRefs = config.warmupRefs;
+    machine.checkpointAt = config.checkpointAt;
+    return machine;
+}
+
 } // namespace
 
 TrialRig::TrialRig(const ExperimentConfig &config,
                    std::uint64_t trial_seed, const TrialRigOptions &opts)
-    : config(config), trialSeed(trial_seed),
-      sim(config.numCpus, trial_seed)
+    : TrialRig(soloMachine(config), /*solo=*/true, trial_seed, opts)
 {
+}
+
+TrialRig::TrialRig(const ColocationConfig &config,
+                   std::uint64_t trial_seed, const TrialRigOptions &opts)
+    : TrialRig(config, /*solo=*/false, trial_seed, opts)
+{
+}
+
+TrialRig::TrialRig(ColocationConfig machine, bool solo,
+                   std::uint64_t trial_seed, const TrialRigOptions &opts)
+    : config(std::move(machine)), sim(config.numCpus, trial_seed),
+      tenants(config.tenants.size())
+{
+    assert(!config.tenants.empty());
+    // RNG stream suffix of tenant i; see the file comment.
+    const auto streamOf = [this, solo](std::size_t i) {
+        return solo ? std::string() : "-" + config.tenants[i].name;
+    };
+
     // --- Assemble one simulated machine (= one boot). ---------------
-    // The sequence below is runTrial's original build, verbatim: a
-    // restore rig replays it with the same seed, so every RNG fork and
-    // derived parameter lands identically.
-    workload = makeWorkload(config.workload, config.scale);
-    footprint = workload->footprintPages();
+    std::uint64_t footprint = 0; // summed over tenants
+    for (std::size_t i = 0; i < config.tenants.size(); ++i) {
+        const TenantSpec &spec = config.tenants[i];
+        Tenant &t = tenants[i];
+        t.workload = makeWorkload(spec.workload, spec.scale);
+        t.footprint = t.workload->footprintPages();
+        footprint += t.footprint;
+        t.space =
+            std::make_unique<AddressSpace>(static_cast<uint32_t>(i));
+        t.space->setMemcg(static_cast<MemcgId>(i));
+        // Per-boot, per-tenant layout randomization (the paper reboots
+        // per trial). Mixing the tenant index in keeps every tenant's
+        // layout independent; tenant 0's seed is the single-tenant one.
+        t.space->enableAslr(splitmix64(trial_seed ^ 0xa51a51a5ull ^
+                                       (0x9e3779b97f4a7c15ull * i)));
+    }
 
     mmConfig.totalFrames = static_cast<std::uint32_t>(
         static_cast<double>(footprint) * config.capacityRatio);
@@ -59,206 +123,6 @@ TrialRig::TrialRig(const ExperimentConfig &config,
     }
 
     frames = std::make_unique<FrameTable>(mmConfig.totalFrames);
-    space = std::make_unique<AddressSpace>(0);
-    // Per-boot layout randomization (the paper reboots per trial).
-    space->enableAslr(splitmix64(trial_seed ^ 0xa51a51a5ull));
-
-    if (config.swap == SwapKind::Ssd) {
-        device = std::make_unique<SsdSwapDevice>(sim.events(),
-                                                 sim.forkRng("ssd"));
-    } else {
-        device = std::make_unique<ZramSwapDevice>();
-    }
-    swap = std::make_unique<SwapManager>(*device, mmConfig.swapSlots);
-
-    const std::uint32_t frames_total = mmConfig.totalFrames;
-    policy = makePolicy(
-        config.policy, *frames, {space.get()}, mmConfig.costs,
-        sim.forkRng("policy"),
-        [frames_total, &config](MgLruConfig &mg) {
-            // Aging urgency scales with capacity: keep at least 1/8 of
-            // memory outside the youngest generation, and make each
-            // generation represent ~1/16 of memory's worth of reclaim.
-            mg.agingLowPages =
-                std::max<std::uint64_t>(frames_total / 8, 256);
-            mg.agingEvictGate =
-                std::max<std::uint64_t>(frames_total / 16, 64);
-            if (config.mgTweak)
-                config.mgTweak(mg);
-        },
-        &sim.events());
-
-    if (const unsigned every = effectiveAuditEvery())
-        mmConfig.auditEvery = every;
-
-    // One memcg holds the whole workload. With no limit ratios this is
-    // the unlimited root group — the exact construction the legacy
-    // single-policy ctor delegates to, so the pinned bit-identity
-    // fingerprints cover it. Ratios translate to frame watermarks on
-    // that lone group (limit-reclaim / throttling studies).
-    MemcgSpec root_spec;
-    root_spec.policy = policy.get();
-    if (config.memcgLimitsConfigured()) {
-        root_spec.config.name = "workload";
-        const std::uint64_t fp = footprint;
-        const auto frames_of = [fp](double ratio) {
-            return std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(
-                       static_cast<double>(fp) * ratio));
-        };
-        if (config.memcgLowRatio > 0.0)
-            root_spec.config.low = frames_of(config.memcgLowRatio);
-        if (config.memcgHighRatio > 0.0)
-            root_spec.config.high = frames_of(config.memcgHighRatio);
-        if (config.memcgMaxRatio > 0.0)
-            root_spec.config.max = frames_of(config.memcgMaxRatio);
-    }
-    mm = std::make_unique<MemoryManager>(
-        sim, *frames, *swap, std::vector<MemcgSpec>{root_spec},
-        mmConfig);
-    if (opts.functional)
-        mm->setFunctionalMode(true);
-
-    // Observability: the plain path attaches before any fault can
-    // happen so spans and the t=0 sample cover the whole trial (and so
-    // its event sequence stays byte-identical to the historical
-    // harness). Deferred paths attach at the checkpoint boundary.
-    metricsConfig = effectiveMetricsConfig(config);
-    if (!opts.deferObservers)
-        installObservers();
-
-    kswapd = std::make_unique<Kswapd>(sim, *mm);
-    mm->attachKswapd(kswapd.get());
-    if (!opts.forRestore)
-        kswapd->start();
-
-    // MG-LRU aging runs in reclaim contexts (try_to_inc_max_seq has
-    // no kthread of its own); under the cgroup-style limit those
-    // contexts are the faulting tasks. The AgingDaemon class remains
-    // available for configurations that want a dedicated walker
-    // (see examples/tuning_walks).
-
-    // The rest of the OS: per-boot background memory/CPU bursts.
-    noise = std::make_unique<BackgroundNoise>(sim, *mm,
-                                              sim.forkRng("noise"));
-    if (!opts.forRestore)
-        noise->start();
-
-    WorkloadContext ctx;
-    ctx.mm = mm.get();
-    ctx.space = space.get();
-    ctx.envSeed = splitmix64(trial_seed ^ 0xecedeul);
-    workload->build(ctx);
-
-    Rng start_jitter = sim.forkRng("thread-start");
-    for (unsigned tid = 0; tid < workload->numThreads(); ++tid) {
-        threads.push_back(std::make_unique<WorkThread>(
-            sim, *mm, *workload, *space, tid));
-        // Per-boot scheduling jitter in thread start order. The jitter
-        // stream is drawn even on a restore build (where no thread
-        // starts) to keep the construction-time RNG usage identical.
-        const SimDuration jitter = start_jitter.uniformInt(0, 20000);
-        if (!opts.forRestore)
-            threads.back()->start(jitter);
-    }
-}
-
-std::uint64_t
-TrialRig::totalRefs() const
-{
-    std::uint64_t refs = 0;
-    for (const auto &t : threads)
-        refs += t->threadStats().touches;
-    return refs;
-}
-
-void
-TrialRig::installObservers()
-{
-    if (observersInstalled_)
-        return;
-    observersInstalled_ = true;
-    if (mmConfig.auditEvery > 0) {
-        auditor = std::make_unique<MmAuditor>(
-            *mm, std::vector<const AddressSpace *>{space.get()});
-        auditor->installPeriodic(/*hard_fail=*/true);
-    }
-    if (metricsConfig.enabled()) {
-        collector = std::make_unique<MetricsCollector>(metricsConfig);
-        attachStandardMetrics(*collector, *mm);
-    }
-}
-
-RigView
-TrialRig::view()
-{
-    RigView v;
-    v.sim = &sim;
-    v.mm = mm.get();
-    v.frames = frames.get();
-    v.swap = swap.get();
-    v.spaces = {space.get()};
-    v.workloads = {workload.get()};
-    v.actors.push_back(kswapd.get());
-    v.actors.push_back(noise.get());
-    for (const auto &t : threads)
-        v.actors.push_back(t.get());
-    return v;
-}
-
-bool
-TrialRig::runToBoundary(std::uint64_t target_refs,
-                        std::uint64_t max_events,
-                        std::uint64_t &events_used)
-{
-    while (sim.foregroundRunning() > 0 && events_used < max_events) {
-        if (totalRefs() >= target_refs && mm->quiescentForCheckpoint())
-            return true;
-        if (!sim.events().runOne())
-            return false;
-        ++events_used;
-    }
-    return false;
-}
-
-ColocationRig::ColocationRig(const ColocationConfig &config,
-                             std::uint64_t trial_seed,
-                             const TrialRigOptions &opts)
-    : config(config), trialSeed(trial_seed),
-      sim(config.numCpus, trial_seed), tenants(config.tenants.size())
-{
-    assert(!config.tenants.empty());
-
-    // --- Assemble one shared machine (= one boot); the sequence is
-    // runColocationTrial's original build, verbatim. -----------------
-    for (std::size_t i = 0; i < config.tenants.size(); ++i) {
-        const TenantSpec &spec = config.tenants[i];
-        Tenant &t = tenants[i];
-        t.workload = makeWorkload(spec.workload, spec.scale);
-        t.footprint = t.workload->footprintPages();
-        totalFootprint += t.footprint;
-        t.space =
-            std::make_unique<AddressSpace>(static_cast<uint32_t>(i));
-        t.space->setMemcg(static_cast<MemcgId>(i));
-        // Per-boot, per-tenant layout randomization. Mixing the tenant
-        // index in keeps every tenant's layout independent while the
-        // i == 0 stream is free to match the single-tenant harness.
-        t.space->enableAslr(splitmix64(trial_seed ^ 0xa51a51a5ull ^
-                                       (0x9e3779b97f4a7c15ull * i)));
-    }
-
-    mmConfig.totalFrames = static_cast<std::uint32_t>(
-        static_cast<double>(totalFootprint) * config.capacityRatio);
-    mmConfig.directReclaimBelow = std::max<std::uint32_t>(
-        mmConfig.reclaimBatch, mmConfig.totalFrames / 256);
-    mmConfig.lowWatermark = mmConfig.directReclaimBelow / 2;
-    mmConfig.highWatermark = mmConfig.directReclaimBelow;
-    mmConfig.swapSlots =
-        static_cast<std::uint32_t>(totalFootprint * 2 + 4096);
-    if (config.swap == SwapKind::Zram)
-        mmConfig.readaheadPages = 1; // page-cluster=0 for zram
-
-    frames = std::make_unique<FrameTable>(mmConfig.totalFrames);
 
     if (config.swap == SwapKind::Ssd) {
         device = std::make_unique<SsdSwapDevice>(sim.events(),
@@ -269,8 +133,7 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
     swap = std::make_unique<SwapManager>(*device, mmConfig.swapSlots);
 
     // One lruvec per tenant: each policy instance sees only its own
-    // tenant's space, and its RNG stream forks off the tenant NAME so
-    // adding a tenant never perturbs another's stream.
+    // tenant's space.
     const std::uint32_t frames_total = mmConfig.totalFrames;
     std::vector<MemcgSpec> specs;
     for (std::size_t i = 0; i < config.tenants.size(); ++i) {
@@ -279,8 +142,12 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
         t.policy = makePolicy(
             spec.policy.value_or(config.policy), *frames,
             {t.space.get()}, mmConfig.costs,
-            sim.forkRng("policy-" + spec.name),
-            [frames_total, &config](MgLruConfig &mg) {
+            sim.forkRng("policy" + streamOf(i)),
+            [frames_total, this](MgLruConfig &mg) {
+                // Aging urgency scales with capacity: keep at least 1/8
+                // of memory outside the youngest generation, and make
+                // each generation represent ~1/16 of memory's worth of
+                // reclaim.
                 mg.agingLowPages =
                     std::max<std::uint64_t>(frames_total / 8, 256);
                 mg.agingEvictGate =
@@ -301,21 +168,20 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
         specs.push_back(std::move(ms));
     }
 
-    // PAGESIM_AUDIT_EVERY: same knob and semantics as runTrial.
     if (const unsigned every = effectiveAuditEvery())
         mmConfig.auditEvery = every;
 
     mm = std::make_unique<MemoryManager>(sim, *frames, *swap, specs,
                                          mmConfig);
-    if (opts.functional)
+    if (!opts.forRestore && config.warmupRefs > 0)
         mm->setFunctionalMode(true);
 
-    metricsConfig = effectiveMetricsConfig([&config] {
-        ExperimentConfig e;
-        e.metrics = config.metrics;
-        return e;
-    }());
-    if (!opts.deferObservers)
+    // Observability: without a boundary, attach before any fault can
+    // happen so spans and the t=0 sample cover the whole trial (and the
+    // event sequence stays byte-identical to the historical harness).
+    // With one, attach at the boundary (driveTrial).
+    metricsConfig = effectiveMetricsConfig(config.metrics);
+    if (std::max(config.warmupRefs, config.checkpointAt) == 0)
         installObservers();
 
     kswapd = std::make_unique<Kswapd>(sim, *mm);
@@ -323,14 +189,19 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
     if (!opts.forRestore)
         kswapd->start();
 
+    // MG-LRU aging runs in reclaim contexts (try_to_inc_max_seq has
+    // no kthread of its own); under the cgroup-style limit those
+    // contexts are the faulting tasks. The AgingDaemon class remains
+    // available for configurations that want a dedicated walker
+    // (see examples/tuning_walks).
+
+    // The rest of the OS: per-boot background memory/CPU bursts.
     noise = std::make_unique<BackgroundNoise>(sim, *mm,
                                               sim.forkRng("noise"));
     if (!opts.forRestore)
         noise->start();
 
-    // Build every tenant and start its threads. Per-tenant env and
-    // jitter streams fork off the tenant name, for the same
-    // insulation as the policy streams.
+    // Build every tenant and start its threads, tenant-major.
     threads.resize(tenants.size());
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         Tenant &t = tenants[i];
@@ -341,11 +212,14 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
                                  (0x9e3779b97f4a7c15ull * i));
         t.workload->build(ctx);
 
-        Rng jitter =
-            sim.forkRng("thread-start-" + config.tenants[i].name);
+        Rng jitter = sim.forkRng("thread-start" + streamOf(i));
         for (unsigned tid = 0; tid < t.workload->numThreads(); ++tid) {
             threads[i].push_back(std::make_unique<WorkThread>(
                 sim, *mm, *t.workload, *t.space, tid));
+            // Per-boot scheduling jitter in thread start order. The
+            // jitter stream is drawn even on a restore build (where no
+            // thread starts) to keep construction-time RNG use
+            // identical.
             const SimDuration delay = jitter.uniformInt(0, 20000);
             if (!opts.forRestore)
                 threads[i].back()->start(delay);
@@ -354,7 +228,7 @@ ColocationRig::ColocationRig(const ColocationConfig &config,
 }
 
 std::uint64_t
-ColocationRig::totalRefs() const
+TrialRig::totalRefs() const
 {
     std::uint64_t refs = 0;
     for (const auto &tenant : threads)
@@ -364,7 +238,7 @@ ColocationRig::totalRefs() const
 }
 
 void
-ColocationRig::installObservers()
+TrialRig::installObservers()
 {
     if (observersInstalled_)
         return;
@@ -383,7 +257,7 @@ ColocationRig::installObservers()
 }
 
 RigView
-ColocationRig::view()
+TrialRig::view()
 {
     RigView v;
     v.sim = &sim;
@@ -403,9 +277,9 @@ ColocationRig::view()
 }
 
 bool
-ColocationRig::runToBoundary(std::uint64_t target_refs,
-                             std::uint64_t max_events,
-                             std::uint64_t &events_used)
+TrialRig::runToBoundary(std::uint64_t target_refs,
+                        std::uint64_t max_events,
+                        std::uint64_t &events_used)
 {
     while (sim.foregroundRunning() > 0 && events_used < max_events) {
         if (totalRefs() >= target_refs && mm->quiescentForCheckpoint())
@@ -415,6 +289,141 @@ ColocationRig::runToBoundary(std::uint64_t target_refs,
         ++events_used;
     }
     return false;
+}
+
+namespace
+{
+
+/** Event budget of one trial. */
+constexpr std::uint64_t kMaxEvents = 2000000000ull;
+
+std::uint64_t
+prefixHash(const ExperimentConfig &config)
+{
+    return configPrefixHash(config);
+}
+
+std::uint64_t
+prefixHash(const ColocationConfig &config)
+{
+    return colocationPrefixHash(config);
+}
+
+/**
+ * Build a rig parked at the fast-forward boundary (max of warmupRefs
+ * and checkpointAt, > 0). With a cacheable checkpointAt, a cached
+ * snapshot short-circuits the warmup entirely: a forRestore rig is
+ * rebuilt (construction only — empty event queue) and the snapshot
+ * applied. Otherwise the machine is simulated to the boundary — in
+ * functional-only mode while inside the warmupRefs window — and, if
+ * cacheable, captured for the next caller. Observers attach only
+ * after the boundary, so the warmup runs without metrics or audits
+ * and capture/restore always sees a quiescent machine.
+ */
+template <class Config>
+std::unique_ptr<TrialRig>
+buildRigAtBoundary(const Config &config, std::uint64_t trial_seed,
+                   std::uint64_t boundary, std::uint64_t &events_used)
+{
+    // An mgTweak hook changes the simulated machine in ways no key can
+    // capture, so such configs never touch the cache (same rule as the
+    // sweep-level ResultCache).
+    const bool cacheable = config.checkpointAt > 0 && !config.mgTweak;
+    const std::uint64_t hash = prefixHash(config);
+    if (cacheable) {
+        if (auto ckpt = CheckpointCache::instance().find(
+                hash, trial_seed, boundary)) {
+            auto rig = std::make_unique<TrialRig>(
+                config, trial_seed, TrialRigOptions{/*forRestore=*/true});
+            const CheckpointError err = restoreCheckpoint(
+                rig->view(), hash, trial_seed, *ckpt);
+            if (err.ok()) {
+                rig->installObservers();
+                return rig;
+            }
+            // A failed apply can leave partial state behind; the rig
+            // is discarded wholesale and the trial re-simulated cold.
+            std::fprintf(stderr,
+                         "pagesim: checkpoint restore failed (%s: %s); "
+                         "re-simulating\n",
+                         checkpointErrorKindName(err.kind),
+                         err.message.c_str());
+        }
+    }
+
+    auto rig =
+        std::make_unique<TrialRig>(config, trial_seed, TrialRigOptions{});
+    const bool reached =
+        rig->runToBoundary(boundary, kMaxEvents, events_used);
+    // Full detail from here on — before the capture, so cold and
+    // restored continuations run the identical machine.
+    if (rig->mm->functionalMode())
+        rig->mm->setFunctionalMode(false);
+    if (reached && cacheable) {
+        auto ckpt = std::make_shared<Checkpoint>();
+        if (captureCheckpoint(rig->view(), hash, trial_seed, boundary,
+                              *ckpt)
+                .ok()) {
+            CheckpointCache::instance().insert(std::move(ckpt));
+        }
+    }
+    rig->installObservers();
+    return rig;
+}
+
+} // namespace
+
+template <class Config>
+std::unique_ptr<TrialRig>
+driveTrial(const Config &config, std::uint64_t trial_seed,
+           MetricsSnapshot &metrics)
+{
+    const std::uint64_t boundary =
+        std::max(config.warmupRefs, config.checkpointAt);
+    std::uint64_t events_used = 0;
+    std::unique_ptr<TrialRig> rig =
+        boundary == 0
+            ? std::make_unique<TrialRig>(config, trial_seed,
+                                         TrialRigOptions{})
+            : buildRigAtBoundary(config, trial_seed, boundary,
+                                 events_used);
+
+    if (!rig->sim.runToCompletion(kMaxEvents - events_used)) {
+        std::fprintf(stderr,
+                     "pagesim: trial %s seed %llu did not converge\n",
+                     config.label().c_str(),
+                     static_cast<unsigned long long>(trial_seed));
+        std::abort();
+    }
+
+    if (rig->collector) {
+        rig->collector->sampler().stop();
+        metrics = rig->collector->snapshot(rig->sim.now());
+        // One machine-wide artifact set per trial: a colocation's label
+        // carries its tenant list, and per-tenant timeseries live
+        // inside it as "memcg.<name>.*" columns.
+        if (!rig->metricsConfig.artifactDir.empty()) {
+            writeTrialArtifacts(rig->metricsConfig.artifactDir,
+                                config.label(), trial_seed, metrics);
+        }
+    }
+    return rig;
+}
+
+template std::unique_ptr<TrialRig>
+driveTrial(const ExperimentConfig &, std::uint64_t, MetricsSnapshot &);
+template std::unique_ptr<TrialRig>
+driveTrial(const ColocationConfig &, std::uint64_t, MetricsSnapshot &);
+
+double
+meanLatencyNs(const LatencyHistogram &read,
+              const LatencyHistogram &write)
+{
+    const std::uint64_t nreq = read.count() + write.count();
+    if (nreq == 0)
+        return 0.0;
+    return (read.mean() * read.count() + write.mean() * write.count()) /
+           static_cast<double>(nreq);
 }
 
 } // namespace pagesim

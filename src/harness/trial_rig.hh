@@ -1,28 +1,43 @@
 /**
  * @file
- * TrialRig / ColocationRig: one assembled simulated machine as an
- * object.
+ * TrialRig: one assembled simulated machine as an object, and the one
+ * drive step every trial shape shares.
  *
- * runTrial and runColocationTrial used to build the machine inline and
- * tear it down at scope exit, which made mid-trial surgery impossible.
- * The rigs lift that assembly into structs whose members are declared
- * in construction order (so destruction order matches the old scopes
- * exactly), reproducing the original build byte for byte: same
- * component construction sequence, same RNG forks, same actor start
- * order. On top of that they add the three degrees of freedom
- * fast-forward simulation needs:
+ * The paper reboots before each execution, so every trial is a freshly
+ * assembled machine. There is one assembly: an N-tenant machine, each
+ * tenant a workload with its own address space, policy instance
+ * (lruvec) and memcg, over one frame table, swap device, kswapd and
+ * background-noise source. A colocation scenario (ColocationConfig)
+ * maps onto it tenant for tenant. A paper cell (ExperimentConfig) is a
+ * one-tenant colocation in the root memcg — named "workload" instead
+ * of "root" when limit ratios are set — with its slowTierRatio as the
+ * machine's tiering knob.
  *
- *  - forRestore: build the machine but start NO actors, leaving the
- *    event queue empty for restoreCheckpoint() to repopulate;
- *  - deferObservers: skip the auditor/metrics attach at build time
- *    (both must be detached across a checkpoint boundary; the plain
- *    path still attaches inline, preserving its exact event sequence);
- *  - functional: start the MemoryManager in functional-only mode, so
- *    the warmup prefix runs with zero simulated device detail.
+ * Stream names: Simulation::forkRng is a pure function of the stream
+ * name, so the names alone (not the fork order) decide what a tenant
+ * draws. The lone tenant of a paper cell keeps the legacy names
+ * "policy" and "thread-start"; a colocation tenant draws
+ * "policy-<name>" and "thread-start-<name>", so adding a tenant never
+ * perturbs another's streams. ASLR and env seeds mix in the tenant
+ * index, which leaves tenant 0's equal to the single-tenant ones.
+ * Together these keep the pinned single-tenant fingerprints
+ * (bit_identity_test.cpp) unchanged by the one-rig design.
  *
- * The rigs also expose the RigView the checkpoint machinery consumes
- * and the one-event-at-a-time boundary loop that parks the machine at
- * the first quiescent point past a reference-count target.
+ * Members are declared in construction order, and construction
+ * replays the same component sequence for the same seed, so a restore
+ * rig lands every RNG fork and derived parameter identically. The
+ * only build option is forRestore: build everything but start no
+ * actors, leaving the event queue empty for restoreCheckpoint() to
+ * repopulate. The other fast-forward choices derive from the config:
+ *
+ *  - a trial with a boundary, max(warmupRefs, checkpointAt) > 0,
+ *    leaves the auditor and metrics detached at build and attaches
+ *    them at the boundary (a live collector vetoes quiescence);
+ *    without one they attach before any fault, so spans and the t=0
+ *    sample cover the whole trial;
+ *  - a rig that is not a restore target and has warmupRefs > 0
+ *    starts in functional-only mode, so the warmup prefix runs with
+ *    zero simulated device detail.
  */
 
 #ifndef PAGESIM_HARNESS_TRIAL_RIG_HH
@@ -36,7 +51,6 @@
 #include "harness/checkpoint.hh"
 #include "harness/colocation.hh"
 #include "harness/experiment.hh"
-#include "kernel/aging_daemon.hh"
 #include "kernel/background_noise.hh"
 #include "kernel/kswapd.hh"
 #include "kernel/memory_manager.hh"
@@ -54,17 +68,18 @@ struct TrialRigOptions
 {
     /** Build everything but start no actors (restore target). */
     bool forRestore = false;
-    /** Leave auditor + metrics detached; installObservers() attaches. */
-    bool deferObservers = false;
-    /** Begin in functional-only warmup mode. */
-    bool functional = false;
 };
 
-/** One single-tenant simulated machine (runTrial's build, lifted). */
+/** One simulated machine: N tenants sharing frames, swap and kswapd. */
 class TrialRig
 {
   public:
+    /** A paper cell: one tenant in the root memcg. */
     TrialRig(const ExperimentConfig &config, std::uint64_t trial_seed,
+             const TrialRigOptions &opts);
+
+    /** A colocation scenario: one tenant and memcg per TenantSpec. */
+    TrialRig(const ColocationConfig &config, std::uint64_t trial_seed,
              const TrialRigOptions &opts);
 
     TrialRig(const TrialRig &) = delete;
@@ -75,10 +90,9 @@ class TrialRig
 
     /**
      * Attach the auditor and metrics collector (no-op if already
-     * attached, or if the config enables neither). The plain path
-     * attaches at build; deferred paths call this at the boundary —
-     * after a capture or restore, never before (a live collector
-     * vetoes quiescence).
+     * attached, or if the config enables neither). Rigs without a
+     * boundary attach at build; the others call this at the boundary —
+     * after a capture or restore, never before.
      */
     void installObservers();
 
@@ -96,50 +110,6 @@ class TrialRig
                        std::uint64_t max_events,
                        std::uint64_t &events_used);
 
-    // Members in construction order; destruction (reverse) matches the
-    // old runTrial scope exactly.
-    ExperimentConfig config;
-    std::uint64_t trialSeed;
-    std::uint64_t footprint = 0;
-    MmConfig mmConfig;
-    MetricsConfig metricsConfig;
-    Simulation sim;
-    std::unique_ptr<Workload> workload;
-    std::unique_ptr<FrameTable> frames;
-    std::unique_ptr<AddressSpace> space;
-    std::unique_ptr<SwapDevice> device;
-    std::unique_ptr<SwapManager> swap;
-    std::unique_ptr<ReplacementPolicy> policy;
-    std::unique_ptr<MemoryManager> mm;
-    std::unique_ptr<MmAuditor> auditor;
-    std::unique_ptr<MetricsCollector> collector;
-    std::unique_ptr<Kswapd> kswapd;
-    /** Dedicated aging walker; unused by the harness (stays null). */
-    std::unique_ptr<AgingDaemon> aging;
-    std::unique_ptr<BackgroundNoise> noise;
-    std::vector<std::unique_ptr<WorkThread>> threads;
-
-  private:
-    bool observersInstalled_ = false;
-};
-
-/** One multi-tenant machine (runColocationTrial's build, lifted). */
-class ColocationRig
-{
-  public:
-    ColocationRig(const ColocationConfig &config,
-                  std::uint64_t trial_seed, const TrialRigOptions &opts);
-
-    ColocationRig(const ColocationRig &) = delete;
-    ColocationRig &operator=(const ColocationRig &) = delete;
-
-    std::uint64_t totalRefs() const;
-    void installObservers();
-    RigView view();
-    bool runToBoundary(std::uint64_t target_refs,
-                       std::uint64_t max_events,
-                       std::uint64_t &events_used);
-
     /** Per-tenant components (workload/space/policy construction). */
     struct Tenant
     {
@@ -149,9 +119,9 @@ class ColocationRig
         std::uint64_t footprint = 0;
     };
 
+    // Members in construction order; destruction runs in reverse.
+    /** The machine; a paper cell's is its one-tenant form. */
     ColocationConfig config;
-    std::uint64_t trialSeed;
-    std::uint64_t totalFootprint = 0;
     MmConfig mmConfig;
     MetricsConfig metricsConfig;
     Simulation sim;
@@ -168,8 +138,34 @@ class ColocationRig
     std::vector<std::vector<std::unique_ptr<WorkThread>>> threads;
 
   private:
+    /** The one build; @p solo selects the legacy stream names. */
+    TrialRig(ColocationConfig machine, bool solo,
+             std::uint64_t trial_seed, const TrialRigOptions &opts);
+
     bool observersInstalled_ = false;
 };
+
+/**
+ * The drive step of runTrial and runColocationTrial: build the rig at
+ * its fast-forward boundary (restoring a cached checkpoint, or
+ * simulating there and capturing one), run it to completion —
+ * aborting if it does not converge — then stop the sampler, snapshot
+ * the metrics into @p metrics and write the trial's artifacts.
+ * Returns the finished rig for the caller's own result collection.
+ * Defined for ExperimentConfig and ColocationConfig.
+ */
+template <class Config>
+std::unique_ptr<TrialRig> driveTrial(const Config &config,
+                                     std::uint64_t trial_seed,
+                                     MetricsSnapshot &metrics);
+
+/**
+ * Mean request latency over a YCSB tenant's read and write
+ * histograms, weighted by count; 0 when both are empty. Shared by the
+ * two runners' result collection.
+ */
+double meanLatencyNs(const LatencyHistogram &read,
+                     const LatencyHistogram &write);
 
 } // namespace pagesim
 

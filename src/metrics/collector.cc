@@ -17,14 +17,16 @@ metricsModeName(MetricsMode mode)
     return "?";
 }
 
-MetricsMode
+std::optional<MetricsMode>
 parseMetricsMode(const std::string &s)
 {
-    if (s == "full" || s == "1" || s == "on")
-        return MetricsMode::Full;
+    if (s == "off")
+        return MetricsMode::Off;
     if (s == "counters")
         return MetricsMode::Counters;
-    return MetricsMode::Off;
+    if (s == "full" || s == "on" || s == "1")
+        return MetricsMode::Full;
+    return std::nullopt;
 }
 
 MetricsCollector::MetricsCollector(const MetricsConfig &config)

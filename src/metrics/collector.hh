@@ -17,6 +17,7 @@
 #define PAGESIM_METRICS_COLLECTOR_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,8 +40,11 @@ enum class MetricsMode : std::uint8_t
 
 const char *metricsModeName(MetricsMode mode);
 
-/** Parse "off" / "counters" / "full" (anything else -> Off). */
-MetricsMode parseMetricsMode(const std::string &s);
+/**
+ * Parse "off", "counters", or "full" (or its aliases "on", "1");
+ * nullopt for anything else.
+ */
+std::optional<MetricsMode> parseMetricsMode(const std::string &s);
 
 /** Opt-in metrics knobs, carried by ExperimentConfig. */
 struct MetricsConfig

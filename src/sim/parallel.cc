@@ -28,6 +28,22 @@ workerOverride()
     return cached;
 }
 
+unsigned
+poolWorkers(unsigned requested)
+{
+    if (requested != 0)
+        return requested;
+    if (const unsigned pinned = workerOverride())
+        return pinned;
+    // Resolved once per process: hardware_concurrency() is a syscall
+    // on some libstdc++ targets, and figure benches sweep per figure.
+    static const unsigned hw = [] {
+        const unsigned n = std::thread::hardware_concurrency();
+        return n == 0 ? 4u : n;
+    }();
+    return hw;
+}
+
 void
 parallelFor(unsigned workers, std::size_t nchunks,
             const std::function<void(std::size_t)> &fn)

@@ -10,9 +10,10 @@
  * merges the slots serially in fixed chunk order. Which worker ran
  * which chunk, and in what wall-clock order, is then unobservable.
  *
- * PAGESIM_WORKERS pins the worker count for every pool user (sweep
- * fan-out, sharded aging scans, sharded audits) — needed in CI and in
- * the serial-vs-sharded differential tests.
+ * It is the only host pool: trial fan-out (runSweep, runColocation),
+ * sharded aging scans and sharded audits all drain through it.
+ * PAGESIM_WORKERS pins the worker count for every pool user — needed
+ * in CI and in the serial-vs-sharded differential tests.
  */
 
 #ifndef PAGESIM_SIM_PARALLEL_HH
@@ -33,6 +34,13 @@ unsigned parseWorkersOverride(const char *text);
 
 /** Cached PAGESIM_WORKERS env override; 0 = unset/invalid. */
 unsigned workerOverride();
+
+/**
+ * Worker count of a trial-level pool (runSweep, runColocation):
+ * @p requested when nonzero, else the PAGESIM_WORKERS override, else
+ * one per hardware thread (4 when the host does not say).
+ */
+unsigned poolWorkers(unsigned requested = 0);
 
 /**
  * Invoke @p fn(0) ... @p fn(nchunks - 1), each exactly once, across

@@ -18,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -259,7 +262,8 @@ TEST(CheckpointIdentity, ImageBytesAndPrefixHashesPinned)
 {
     // Prefix hashes name the on-disk images and image bytes are their
     // content: a change orphans every saved image. Pinned for one
-    // single-tenant cell and one colocation scenario, cold-captured.
+    // single-tenant cell and one colocation scenario, cold-captured;
+    // recorded before the single- and multi-tenant rigs merged.
     constexpr std::uint64_t kBoundary = 20000;
     CheckpointCache &cache = CheckpointCache::instance();
     cache.clear();
@@ -374,8 +378,13 @@ TEST(CheckpointSweep, WarmSweepRestoresInsteadOfResimulating)
 TEST(CheckpointSweep, DiskCacheSurvivesInMemoryClear)
 {
     // PAGESIM_CHECKPOINT_DIR: the warmup must survive a process
-    // boundary, modeled here by dropping the in-memory map.
-    const std::string dir = ::testing::TempDir() + "pagesim-ckpt-disk";
+    // boundary, modeled here by dropping the in-memory map. The dir is
+    // private to this process and starts empty, so the cold trial
+    // cannot load a previous run's image and the warm one can only
+    // load what the cold one persisted.
+    const std::string dir = ::testing::TempDir() + "pagesim-ckpt-disk-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
     setenv("PAGESIM_CHECKPOINT_DIR", dir.c_str(), 1);
 
     ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
@@ -387,6 +396,7 @@ TEST(CheckpointSweep, DiskCacheSurvivesInMemoryClear)
     CheckpointCache &cache = CheckpointCache::instance();
     cache.clear();
     const TrialResult cold = runTrial(cfg, 555); // persists to dir
+    EXPECT_EQ(cache.diskLoads(), 0u) << "the dir started empty";
     cache.clear();                               // memory gone, disk stays
     const TrialResult warm = runTrial(cfg, 555);
     EXPECT_GE(cache.diskLoads(), 1u)
@@ -396,6 +406,7 @@ TEST(CheckpointSweep, DiskCacheSurvivesInMemoryClear)
 
     unsetenv("PAGESIM_CHECKPOINT_DIR");
     cache.clear();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointCache, PrefixHashCoversMachineShapeOnly)
@@ -430,33 +441,33 @@ TEST(CheckpointCache, PrefixHashCoversMachineShapeOnly)
 // error, and a rejected restore applies ZERO state.
 // ---------------------------------------------------------------------
 
-/** Build a rig, park it at @p boundary refs, capture a checkpoint. */
+/**
+ * Build a rig, park it at its checkpointAt boundary, capture a
+ * checkpoint. The boundary also keeps the rig's observers detached.
+ */
 Checkpoint
-captureAtBoundary(const ExperimentConfig &cfg, std::uint64_t seed,
-                  std::uint64_t boundary)
+captureAtBoundary(const ExperimentConfig &cfg, std::uint64_t seed)
 {
-    TrialRigOptions opts;
-    opts.deferObservers = true;
-    TrialRig rig(cfg, seed, opts);
+    TrialRig rig(cfg, seed, TrialRigOptions{});
     std::uint64_t used = 0;
-    EXPECT_TRUE(rig.runToBoundary(boundary, kMaxEvents, used));
+    EXPECT_TRUE(rig.runToBoundary(cfg.checkpointAt, kMaxEvents, used));
     Checkpoint ckpt;
     const CheckpointError err = captureCheckpoint(
-        rig.view(), configPrefixHash(cfg), seed, boundary, ckpt);
+        rig.view(), configPrefixHash(cfg), seed, cfg.checkpointAt, ckpt);
     EXPECT_TRUE(err.ok()) << err.message;
     return ckpt;
 }
 
 TEST(CheckpointCorruption, RejectedImagesApplyNothing)
 {
-    const ExperimentConfig cfg = smallConfig(
-        WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
     const std::uint64_t seed = 12345;
     const std::uint64_t hash = configPrefixHash(cfg);
     const TrialResult straight = runTrial(cfg, seed);
     ASSERT_GT(straight.totalTouches, 0u);
-    const Checkpoint good =
-        captureAtBoundary(cfg, seed, straight.totalTouches / 2);
+    cfg.checkpointAt = straight.totalTouches / 2;
+    const Checkpoint good = captureAtBoundary(cfg, seed);
     ASSERT_GT(good.bytes.size(), 64u);
 
     // Fixed image offsets (format frozen at kCheckpointVersion = 1):
@@ -497,10 +508,7 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
         Checkpoint bad = good;
         c.corrupt(bad.bytes);
 
-        TrialRigOptions opts;
-        opts.forRestore = true;
-        opts.deferObservers = true;
-        TrialRig rig(cfg, seed, opts);
+        TrialRig rig(cfg, seed, TrialRigOptions{/*forRestore=*/true});
         const CheckpointError err =
             restoreCheckpoint(rig.view(), hash, seed, bad);
         EXPECT_EQ(err.kind, c.want) << c.name;
@@ -515,10 +523,7 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
 
     // Key mismatches are structured too: wrong producer config...
     {
-        TrialRigOptions opts;
-        opts.forRestore = true;
-        opts.deferObservers = true;
-        TrialRig rig(cfg, seed, opts);
+        TrialRig rig(cfg, seed, TrialRigOptions{/*forRestore=*/true});
         EXPECT_EQ(restoreCheckpoint(rig.view(), hash ^ 1, seed, good)
                       .kind,
                   CheckpointError::Kind::ConfigMismatch);
@@ -531,15 +536,16 @@ TEST(CheckpointCorruption, RejectedImagesApplyNothing)
 
 TEST(CheckpointCorruption, FileRoundTripAndDiskErrors)
 {
-    const ExperimentConfig cfg = smallConfig(
-        WorkloadKind::YcsbA, PolicyKind::MgLru, SwapKind::Ssd);
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
     const std::uint64_t seed = 12345;
     const TrialResult straight = runTrial(cfg, seed);
-    const Checkpoint good =
-        captureAtBoundary(cfg, seed, straight.totalTouches / 2);
+    cfg.checkpointAt = straight.totalTouches / 2;
+    const Checkpoint good = captureAtBoundary(cfg, seed);
 
     const std::string path =
-        ::testing::TempDir() + "pagesim-ckpt-roundtrip.bin";
+        ::testing::TempDir() + "pagesim-ckpt-roundtrip-" +
+        std::to_string(::getpid()) + ".bin";
     ASSERT_TRUE(saveCheckpointFile(path, good).ok());
 
     Checkpoint loaded;

@@ -269,11 +269,11 @@ TEST(LintParSafety, FlagsEveryUnsafeWriteShape)
 {
     const LintResult r = lintTree("par_bad");
     EXPECT_FALSE(r.configError);
-    // total_ +=, ++misses_, shared_.push_back, the tracked
-    // testAndClearAccessed, and hits_ += inside the chased helper —
-    // and nothing for the local, the out_[ci] slot, or the serial
-    // merge after the parallelFor.
-    EXPECT_EQ(countUnwaived(r, "par-safety"), 5);
+    // total_ +=, ++misses_, shared_.push_back, shared_[0] =, the
+    // tracked testAndClearAccessed, and hits_ += inside the chased
+    // helper — and nothing for the local, the out_[ci] slot, or the
+    // serial merge after the parallelFor.
+    EXPECT_EQ(countUnwaived(r, "par-safety"), 6);
     EXPECT_TRUE(hasFatalFindings(r));
     bool sawHelper = false, sawMutator = false;
     for (const Finding &f : r.findings) {

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "harness/experiment.hh"
 
@@ -27,7 +30,14 @@ struct ArtifactDir : ::testing::Test
     void
     SetUp() override
     {
-        dir = fs::temp_directory_path() / "pagesim_artifact_naming";
+        // One directory per test and process: under ctest -j the tests
+        // run concurrently, and a shared directory let one test's
+        // remove_all wipe another's files mid-check.
+        const std::string test =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        dir = fs::temp_directory_path() /
+              ("pagesim_artifact_naming-" + test + "-" +
+               std::to_string(::getpid()));
         fs::remove_all(dir);
     }
 

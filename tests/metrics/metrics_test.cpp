@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "../kernel/kernel_test_util.hh"
@@ -280,8 +282,25 @@ TEST(MetricsMode, ParseRoundTrips)
     EXPECT_EQ(parseMetricsMode("counters"), MetricsMode::Counters);
     EXPECT_EQ(parseMetricsMode("full"), MetricsMode::Full);
     EXPECT_EQ(parseMetricsMode("on"), MetricsMode::Full);
-    EXPECT_EQ(parseMetricsMode("garbage"), MetricsMode::Off);
+    EXPECT_EQ(parseMetricsMode("1"), MetricsMode::Full);
+    // Anything else is rejected, not silently read as Off.
+    EXPECT_EQ(parseMetricsMode("garbage"), std::nullopt);
+    EXPECT_EQ(parseMetricsMode(""), std::nullopt);
+    EXPECT_EQ(parseMetricsMode("0"), std::nullopt);
+    EXPECT_EQ(parseMetricsMode("Full"), std::nullopt);
     EXPECT_STREQ(metricsModeName(MetricsMode::Counters), "counters");
+}
+
+TEST(MetricsModeDeathTest, GarbageEnvOverrideExitsWithAcceptedValues)
+{
+    // The override is parsed once per process, so the child must start
+    // fresh: the threadsafe style re-executes the test binary.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    setenv("PAGESIM_METRICS", "garbage", 1);
+    EXPECT_EXIT(effectiveMetricsConfig(MetricsConfig{}),
+                ::testing::ExitedWithCode(2),
+                "PAGESIM_METRICS=garbage.*off.*counters.*full");
+    unsetenv("PAGESIM_METRICS");
 }
 
 } // namespace

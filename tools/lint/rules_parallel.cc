@@ -479,6 +479,8 @@ analyzeSpan(const ParScope &scopeIn, const SourceFile &lintFile,
                                q == "/" || q == "%" || q == "|" ||
                                q == "&" || q == "^") {
                         targetEnd = i - 2; // compound op=
+                    } else if (q == "]") {
+                        targetEnd = i - 1; // out[k] = ...
                     } else {
                         continue; // '[' (capture default), etc.
                     }
