@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "harness/sweep.hh"
@@ -177,6 +178,14 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     // unaudited one only by luck. The cadence is read from the
     // environment and cached per process, so a cached result must not
     // survive a PAGESIM_AUDIT_EVERY change within one process either.
+    // The test drives the cadence itself, so it starts from "unset"
+    // whatever the ambient environment says (the sanitizer CI job sets
+    // 1) and puts the ambient value back at the end.
+    const char *ambient = std::getenv("PAGESIM_AUDIT_EVERY");
+    const std::string saved = ambient != nullptr ? ambient : "";
+    unsetenv("PAGESIM_AUDIT_EVERY");
+    detail::refreshAuditEveryOverrideCacheForTests();
+
     ResultCache cache;
     ExperimentConfig base;
     base.scale = ScalePreset::Small;
@@ -197,6 +206,10 @@ TEST(Sweep, ResultCacheKeyCoversAuditCadence)
     detail::refreshAuditEveryOverrideCacheForTests();
     cache.get(base);
     EXPECT_EQ(cache.hits(), 2u) << "back to the unaudited entry";
+
+    if (!saved.empty())
+        setenv("PAGESIM_AUDIT_EVERY", saved.c_str(), 1);
+    detail::refreshAuditEveryOverrideCacheForTests();
 }
 
 TEST(Sweep, WorkersOverrideParsing)
