@@ -73,7 +73,9 @@ struct ColocationConfig
     double capacityRatio = 0.5;
     /**
      * Slow-tier capacity as a fraction of the summed footprints (0
-     * disables tiering); see ExperimentConfig::slowTierRatio.
+     * disables tiering); see ExperimentConfig::slowTierRatio. Only a
+     * one-tenant machine may set it: the rig throws
+     * std::invalid_argument for more tenants.
      */
     double slowTierRatio = 0.0;
     unsigned trials = 4;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "kernel/mm_metrics.hh"
 #include "swap/ssd_device.hh"
@@ -79,6 +80,13 @@ TrialRig::TrialRig(ColocationConfig machine, bool solo,
       tenants(config.tenants.size())
 {
     assert(!config.tenants.empty());
+    // Tiering is modelled for one tenant only: with two or more, the
+    // shared slow tier corrupts the tenants' lruvecs (the auditor
+    // reports broken generation lists, then reclaim crashes).
+    if (config.slowTierRatio > 0.0 && config.tenants.size() > 1) {
+        throw std::invalid_argument(
+            config.label() + ": slowTierRatio needs a one-tenant machine");
+    }
     // RNG stream suffix of tenant i; see the file comment.
     const auto streamOf = [this, solo](std::size_t i) {
         return solo ? std::string() : "-" + config.tenants[i].name;
