@@ -642,10 +642,6 @@ colocationPrefixHash(const ColocationConfig &config)
         sink.f64(t.highRatio);
         sink.f64(t.maxRatio);
     }
-    // Appended only when set, so every untiered scenario keeps the
-    // hash (and the on-disk image names) it had before the knob.
-    if (config.slowTierRatio > 0.0)
-        sink.f64(config.slowTierRatio);
     return fnv1a(sink.data().data(), sink.size());
 }
 

@@ -71,13 +71,6 @@ struct ColocationConfig
     SwapKind swap = SwapKind::Ssd;
     /** Total machine memory as a fraction of the summed footprints. */
     double capacityRatio = 0.5;
-    /**
-     * Slow-tier capacity as a fraction of the summed footprints (0
-     * disables tiering); see ExperimentConfig::slowTierRatio. Only a
-     * one-tenant machine may set it: the rig throws
-     * std::invalid_argument for more tenants.
-     */
-    double slowTierRatio = 0.0;
     unsigned trials = 4;
     std::uint64_t baseSeed = 1;
     unsigned numCpus = 12;

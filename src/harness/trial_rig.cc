@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 #include "kernel/mm_metrics.hh"
 #include "swap/ssd_device.hh"
@@ -49,7 +48,6 @@ soloMachine(const ExperimentConfig &config)
     machine.policy = config.policy;
     machine.swap = config.swap;
     machine.capacityRatio = config.capacityRatio;
-    machine.slowTierRatio = config.slowTierRatio;
     machine.trials = config.trials;
     machine.baseSeed = config.baseSeed;
     machine.numCpus = config.numCpus;
@@ -64,29 +62,25 @@ soloMachine(const ExperimentConfig &config)
 
 TrialRig::TrialRig(const ExperimentConfig &config,
                    std::uint64_t trial_seed, const TrialRigOptions &opts)
-    : TrialRig(soloMachine(config), /*solo=*/true, trial_seed, opts)
+    : TrialRig(soloMachine(config), config.slowTierRatio, /*solo=*/true,
+               trial_seed, opts)
 {
 }
 
 TrialRig::TrialRig(const ColocationConfig &config,
                    std::uint64_t trial_seed, const TrialRigOptions &opts)
-    : TrialRig(config, /*solo=*/false, trial_seed, opts)
+    : TrialRig(config, /*slow_tier_ratio=*/0.0, /*solo=*/false,
+               trial_seed, opts)
 {
 }
 
-TrialRig::TrialRig(ColocationConfig machine, bool solo,
-                   std::uint64_t trial_seed, const TrialRigOptions &opts)
+TrialRig::TrialRig(ColocationConfig machine, double slow_tier_ratio,
+                   bool solo, std::uint64_t trial_seed,
+                   const TrialRigOptions &opts)
     : config(std::move(machine)), sim(config.numCpus, trial_seed),
       tenants(config.tenants.size())
 {
     assert(!config.tenants.empty());
-    // Tiering is modelled for one tenant only: with two or more, the
-    // shared slow tier corrupts the tenants' lruvecs (the auditor
-    // reports broken generation lists, then reclaim crashes).
-    if (config.slowTierRatio > 0.0 && config.tenants.size() > 1) {
-        throw std::invalid_argument(
-            config.label() + ": slowTierRatio needs a one-tenant machine");
-    }
     // RNG stream suffix of tenant i; see the file comment.
     const auto streamOf = [this, solo](std::size_t i) {
         return solo ? std::string() : "-" + config.tenants[i].name;
@@ -125,9 +119,9 @@ TrialRig::TrialRig(ColocationConfig machine, bool solo,
         static_cast<std::uint32_t>(footprint * 2 + 4096);
     if (config.swap == SwapKind::Zram)
         mmConfig.readaheadPages = 1; // page-cluster=0 for zram
-    if (config.slowTierRatio > 0.0) {
+    if (slow_tier_ratio > 0.0) {
         mmConfig.tier.slowFrames = static_cast<std::uint32_t>(
-            static_cast<double>(footprint) * config.slowTierRatio);
+            static_cast<double>(footprint) * slow_tier_ratio);
     }
 
     frames = std::make_unique<FrameTable>(mmConfig.totalFrames);

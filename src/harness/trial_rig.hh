@@ -10,8 +10,8 @@
  * background-noise source. A colocation scenario (ColocationConfig)
  * maps onto it tenant for tenant. A paper cell (ExperimentConfig) is a
  * one-tenant colocation in the root memcg — named "workload" instead
- * of "root" when limit ratios are set — with its slowTierRatio as the
- * machine's tiering knob.
+ * of "root" when limit ratios are set — whose slowTierRatio sizes
+ * the machine-wide slow tier. Colocation machines run untiered.
  *
  * Stream names: Simulation::forkRng is a pure function of the stream
  * name, so the names alone (not the fork order) decide what a tenant
@@ -138,8 +138,12 @@ class TrialRig
     std::vector<std::vector<std::unique_ptr<WorkThread>>> threads;
 
   private:
-    /** The one build; @p solo selects the legacy stream names. */
-    TrialRig(ColocationConfig machine, bool solo,
+    /**
+     * The one build. @p slow_tier_ratio sizes the machine's slow tier
+     * (0 = untiered; only a paper cell sets it); @p solo selects the
+     * legacy stream names.
+     */
+    TrialRig(ColocationConfig machine, double slow_tier_ratio, bool solo,
              std::uint64_t trial_seed, const TrialRigOptions &opts);
 
     bool observersInstalled_ = false;

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <stdexcept>
 
 #include "harness/colocation.hh"
 
@@ -138,17 +137,6 @@ TEST(Colocation, RunColocationPoolMatchesDirectTrials)
                   fingerprints(runColocationTrial(config, seed)))
             << "trial " << t;
     }
-}
-
-TEST(Colocation, TieringRejectsSharedMachines)
-{
-    // The slow tier is modelled for one tenant; a shared tiered machine
-    // is refused before it is built, while one tenant may tier.
-    ColocationConfig config = threeTenants();
-    config.slowTierRatio = 0.25;
-    EXPECT_THROW(runColocationTrial(config, 7), std::invalid_argument);
-    config.tenants.resize(1);
-    EXPECT_GT(runColocationTrial(config, 7).runtimeNs, 0u);
 }
 
 TEST(Colocation, LabelNamesTenantsAndMachine)
