@@ -265,7 +265,7 @@ BM_AddressSpaceSaveState(benchmark::State &state)
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         Sink sink;
-        space.saveState(sink);
+        AddressSpace::state(space, sink);
         bytes = sink.size();
         benchmark::DoNotOptimize(sink.data().data());
     }
@@ -282,15 +282,15 @@ BM_AddressSpaceRestoreState(benchmark::State &state)
     AddressSpace space(0);
     space.map("lanes", pages);
     Sink sink;
-    space.saveState(sink);
+    AddressSpace::state(space, sink);
     // Restore requires an identically replayed layout (the nextVpn_
     // check the checkpoint machinery leans on).
     AddressSpace target(0);
     target.map("lanes", pages);
     for (auto _ : state) {
         Source src(sink.data().data(), sink.size());
-        const bool ok = target.restoreState(src);
-        benchmark::DoNotOptimize(ok);
+        AddressSpace::state(target, src);
+        benchmark::DoNotOptimize(src.ok());
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * sink.size()));
@@ -301,13 +301,11 @@ void
 BM_FrameTableSaveState(benchmark::State &state)
 {
     FrameTable frames(static_cast<std::uint64_t>(state.range(0)));
-    const auto space_id = [](const AddressSpace &) {
-        return std::uint32_t{0};
-    };
+    const RefTable<AddressSpace> spaces({});
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         Sink sink;
-        frames.saveState(sink, space_id);
+        FrameTable::state(frames, sink, spaces);
         bytes = sink.size();
         benchmark::DoNotOptimize(sink.data().data());
     }
@@ -321,16 +319,13 @@ BM_FrameTableRestoreState(benchmark::State &state)
 {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
     FrameTable frames(n);
+    const RefTable<AddressSpace> spaces({});
     Sink sink;
-    frames.saveState(sink,
-                     [](const AddressSpace &) { return std::uint32_t{0}; });
+    FrameTable::state(frames, sink, spaces);
     FrameTable target(n);
-    const auto space_at = [](std::uint32_t) -> AddressSpace * {
-        return nullptr;
-    };
     for (auto _ : state) {
         Source src(sink.data().data(), sink.size());
-        target.restoreState(src, space_at);
+        FrameTable::state(target, src, spaces);
         benchmark::DoNotOptimize(&target);
     }
     state.SetBytesProcessed(

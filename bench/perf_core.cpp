@@ -920,14 +920,15 @@ main(int argc, char **argv)
 
     // --- 7. Checkpoint serializer: FrameTable capture GB/s. --------
     // A fully mapped table sliced across two dozen spaces, captured
-    // with the checkpoint layer's own space_id shape (a std::function
-    // wrapping a linear rig scan). saveState memoizes per distinct
+    // through the checkpoint layer's own owner table (a RefTable over
+    // the rig's spaces). The ref-lane verb memoizes per distinct
     // owner; the reference loop re-creates the removed per-frame
-    // pattern — one std::function call and rig scan per mapped frame,
-    // which is what held capture near 0.5 GB/s — on the same table,
-    // through the same public rmap the old loop read. The speedup
-    // estimate charges the full serialize cost to both sides, so it
-    // reads conservative.
+    // pattern — one table scan per mapped frame, which is what held
+    // capture near 0.5 GB/s — on the same table, through the same
+    // public rmap the old loop read. The speedup estimate charges the
+    // full serialize cost to both sides, so it reads conservative.
+    // Each figure is the best of 5 samples; the spread is
+    // (worst - best) / best over the same samples.
     constexpr std::uint32_t kSerFrames = 1u << 23;
     constexpr std::size_t kSerSpaces = 24;
     constexpr std::uint32_t kSerRun = 4096;
@@ -945,53 +946,59 @@ main(int argc, char **argv)
             ser_spaces[(pfn / kSerRun) % kSerSpaces].get();
         ser_frames.allocate(owner, pfn, false);
     }
-    const std::function<std::uint32_t(const AddressSpace &)>
-        ser_space_id = [&ser_spaces](const AddressSpace &space) {
-            for (std::size_t i = 0; i < ser_spaces.size(); ++i)
-                if (ser_spaces[i].get() == &space)
-                    return static_cast<std::uint32_t>(i);
-            return UINT32_MAX;
-        };
-    const auto min5 = [](const std::function<double()> &sample) {
+    std::vector<AddressSpace *> ser_owners;
+    for (const auto &space : ser_spaces)
+        ser_owners.push_back(space.get());
+    const RefTable<AddressSpace> ser_table(ser_owners);
+    // Best of 5 samples, plus (worst - best) / best as the spread.
+    struct Min5
+    {
         double best = 1e30;
-        for (int i = 0; i < 5; ++i)
-            best = std::min(best, sample());
-        return best;
+        double spread = 0.0;
+    };
+    const auto min5 = [](const std::function<double()> &sample) {
+        Min5 m;
+        double worst = 0.0;
+        for (int i = 0; i < 5; ++i) {
+            const double secs = sample();
+            m.best = std::min(m.best, secs);
+            worst = std::max(worst, secs);
+        }
+        m.spread = (worst - m.best) / m.best;
+        return m;
     };
     const double ser_ref_secs = min5([&] {
         std::vector<std::uint32_t> ids(kSerFrames);
         const auto start = Clock::now();
         for (std::uint32_t pfn = 0; pfn < kSerFrames; ++pfn)
-            ids[pfn] = ser_space_id(*ser_frames.rmap(pfn).space);
+            ids[pfn] = ser_table.idOf(ser_frames.rmap(pfn).space);
         const double secs = secondsSince(start);
         benchKeepAlive(ids.data());
         return secs;
-    });
+    }).best;
     std::uint64_t ser_bytes = 0;
-    const double ser_save_secs = min5([&] {
+    const Min5 ser_save = min5([&] {
         Sink sink;
         const auto start = Clock::now();
-        ser_frames.saveState(sink, ser_space_id);
+        FrameTable::state(ser_frames, sink, ser_table);
         const double secs = secondsSince(start);
         ser_bytes = sink.size();
         benchKeepAlive(sink.data().data());
         return secs;
     });
+    const double ser_save_secs = ser_save.best;
     Sink ser_sink;
-    ser_frames.saveState(ser_sink, ser_space_id);
+    FrameTable::state(ser_frames, ser_sink, ser_table);
     FrameTable ser_target(kSerFrames);
-    const auto ser_space_at =
-        [&ser_spaces](std::uint32_t id) -> AddressSpace * {
-        return id < ser_spaces.size() ? ser_spaces[id].get() : nullptr;
-    };
-    const double ser_restore_secs = min5([&] {
+    const Min5 ser_restore = min5([&] {
         Source src(ser_sink.data().data(), ser_sink.size());
         const auto start = Clock::now();
-        ser_target.restoreState(src, ser_space_at);
+        FrameTable::state(ser_target, src, ser_table);
         const double secs = secondsSince(start);
         benchKeepAlive(&ser_target);
         return secs;
     });
+    const double ser_restore_secs = ser_restore.best;
     const double ser_payload_mb =
         static_cast<double>(ser_bytes) / 1e6;
     const double ser_save_gbps =
@@ -1001,12 +1008,15 @@ main(int argc, char **argv)
     const double ser_speedup =
         (ser_ref_secs + ser_save_secs) / ser_save_secs;
     std::printf("  payload: %.0f MB\n", ser_payload_mb);
-    std::printf("  per-frame space_id reference: %.3f s\n",
+    std::printf("  per-frame id lookup reference: %.3f s\n",
                 ser_ref_secs);
-    std::printf("  save:    %.3f s (%.2f GB/s, %.1fx vs per-frame)\n",
-                ser_save_secs, ser_save_gbps, ser_speedup);
-    std::printf("  restore: %.3f s (%.2f GB/s)\n\n", ser_restore_secs,
-                ser_restore_gbps);
+    std::printf("  save:    %.3f s (%.2f GB/s, spread %.1f%%, "
+                "%.1fx vs per-frame)\n",
+                ser_save_secs, ser_save_gbps, 100.0 * ser_save.spread,
+                ser_speedup);
+    std::printf("  restore: %.3f s (%.2f GB/s, spread %.1f%%)\n\n",
+                ser_restore_secs, ser_restore_gbps,
+                100.0 * ser_restore.spread);
 
     // --- Emit the JSON baseline. -----------------------------------
     const unsigned cores = std::thread::hardware_concurrency();
@@ -1143,12 +1153,15 @@ main(int argc, char **argv)
                  "    \"per_frame_space_id_seconds\": %.4f,\n"
                  "    \"save_seconds\": %.4f,\n"
                  "    \"save_gb_per_sec\": %.3f,\n"
+                 "    \"save_spread_pct\": %.1f,\n"
                  "    \"restore_seconds\": %.4f,\n"
                  "    \"restore_gb_per_sec\": %.3f,\n"
+                 "    \"restore_spread_pct\": %.1f,\n"
                  "    \"speedup_vs_per_frame\": %.3f\n  }\n",
                  kSerFrames, kSerSpaces, ser_payload_mb, ser_ref_secs,
-                 ser_save_secs, ser_save_gbps, ser_restore_secs,
-                 ser_restore_gbps, ser_speedup);
+                 ser_save_secs, ser_save_gbps, 100.0 * ser_save.spread,
+                 ser_restore_secs, ser_restore_gbps,
+                 100.0 * ser_restore.spread, ser_speedup);
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());

@@ -8,6 +8,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
+
+#include <unistd.h>
 
 #include "kernel/memory_manager.hh"
 #include "mem/address_space.hh"
@@ -28,21 +31,6 @@ namespace
 /** "PGSMCKP1" read as a little-endian u64. */
 constexpr std::uint64_t kCheckpointMagic = 0x31504b434d534750ull;
 
-/**
- * Frame-owner sentinel for the MemoryManager's internal balloon space,
- * which is not part of the rig's space list. Distinct from
- * FrameTable::kNoSpaceId (unowned).
- */
-constexpr std::uint32_t kBalloonSpaceId = 0xFFFFFFFEu;
-
-/** Required sections, in encode/apply order. */
-const char *const kSectionNames[] = {
-    "sim",   "spaces", "frames", "mm",
-    "swap",  "workloads", "actors", "barriers",
-};
-constexpr std::size_t kSectionCount =
-    sizeof(kSectionNames) / sizeof(kSectionNames[0]);
-
 CheckpointError
 makeError(CheckpointError::Kind kind, std::string message)
 {
@@ -52,12 +40,11 @@ makeError(CheckpointError::Kind kind, std::string message)
     return e;
 }
 
-/** One decoded section: a view into the image's byte buffer. */
+/** One decoded section: a reader over its payload bytes. */
 struct ParsedSection
 {
     std::string name;
-    const std::uint8_t *data = nullptr;
-    std::uint64_t len = 0;
+    Source payload;
 };
 
 struct ParsedImage
@@ -79,56 +66,6 @@ struct ParsedImage
     }
 };
 
-/** Raw little-endian reader over a byte range (parse phase only). */
-struct RawCursor
-{
-    const std::uint8_t *p;
-    std::size_t len;
-    std::size_t off = 0;
-    bool ok = true;
-
-    bool
-    take(std::size_t n)
-    {
-        if (!ok || len - off < n) {
-            ok = false;
-            return false;
-        }
-        off += n;
-        return true;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!take(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(p[off - 4 + i]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!take(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(p[off - 8 + i]) << (8 * i);
-        return v;
-    }
-
-    const std::uint8_t *
-    slice(std::size_t n)
-    {
-        if (!take(n))
-            return nullptr;
-        return p + off - n;
-    }
-};
-
 /**
  * Decode the image layout and validate EVERYTHING that can be checked
  * without touching a rig: magic, version, per-section bounds, and
@@ -138,59 +75,162 @@ struct RawCursor
 CheckpointError
 parseImage(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
 {
-    RawCursor cur{bytes.data(), bytes.size()};
+    Source cur(bytes.data(), bytes.size());
 
-    const std::uint64_t magic = cur.u64();
-    if (!cur.ok)
+    std::uint64_t magic = 0;
+    cur.u64(magic);
+    if (!cur.ok())
         return makeError(CheckpointError::Kind::Truncated,
                          "image shorter than the checkpoint header");
     if (magic != kCheckpointMagic)
         return makeError(CheckpointError::Kind::BadMagic,
                          "not a checkpoint image (bad magic)");
 
-    out.version = cur.u32();
-    if (cur.ok && out.version != kCheckpointVersion)
+    cur.u32(out.version);
+    if (cur.ok() && out.version != kCheckpointVersion)
         return makeError(CheckpointError::Kind::VersionMismatch,
                          "checkpoint format version " +
                              std::to_string(out.version) +
                              " (this build reads " +
                              std::to_string(kCheckpointVersion) + ")");
 
-    out.configHash = cur.u64();
-    out.seed = cur.u64();
-    out.when = cur.u64();
-    out.refs = cur.u64();
-    const std::uint32_t nsections = cur.u32();
-    if (!cur.ok)
+    cur.u64(out.configHash);
+    cur.u64(out.seed);
+    cur.u64(out.when);
+    cur.u64(out.refs);
+    std::uint32_t nsections = 0;
+    cur.u32(nsections);
+    if (!cur.ok())
         return makeError(CheckpointError::Kind::Truncated,
                          "image shorter than the checkpoint header");
 
     out.sections.clear();
     for (std::uint32_t i = 0; i < nsections; ++i) {
-        ParsedSection sec;
-        const std::uint32_t name_len = cur.u32();
-        const std::uint8_t *name = cur.slice(name_len);
-        const std::uint64_t payload_len = cur.u64();
-        const std::uint64_t fp = cur.u64();
-        const std::uint8_t *payload =
-            cur.slice(static_cast<std::size_t>(payload_len));
-        if (!cur.ok)
+        std::uint32_t name_len = 0;
+        cur.u32(name_len);
+        const Source name = cur.slice(name_len);
+        std::uint64_t payload_len = 0;
+        std::uint64_t fp = 0;
+        cur.u64(payload_len);
+        cur.u64(fp);
+        const Source payload = cur.slice(payload_len);
+        if (!cur.ok())
             return makeError(CheckpointError::Kind::Truncated,
                              "image truncated inside section " +
                                  std::to_string(i));
-        sec.name.assign(reinterpret_cast<const char *>(name), name_len);
-        sec.data = payload;
-        sec.len = payload_len;
-        if (fnv1a(payload, static_cast<std::size_t>(payload_len)) != fp)
+        ParsedSection sec{
+            std::string(reinterpret_cast<const char *>(name.data()),
+                        name.size()),
+            payload};
+        if (fnv1a(payload.data(), payload.size()) != fp)
             return makeError(
                 CheckpointError::Kind::FingerprintMismatch,
                 "section '" + sec.name + "' fingerprint mismatch");
         out.sections.push_back(std::move(sec));
     }
-    if (cur.off != cur.len)
+    if (cur.remaining() != 0)
         return makeError(CheckpointError::Kind::Truncated,
                          "trailing bytes after the last section");
     return {};
+}
+
+/** Run T's state body on @p obj, as const T when @p ar saves. */
+template <class T, class Ar, class... Refs>
+void
+archive(T &obj, Ar &ar, const Refs &...refs)
+{
+    if constexpr (Ar::kLoading)
+        T::state(obj, ar, refs...);
+    else
+        T::state(std::as_const(obj), ar, refs...);
+}
+
+/** A u32 record count, which a load must find equal to @p n. */
+template <class Ar>
+void
+recordCount(Ar &ar, std::size_t n)
+{
+    auto count = static_cast<std::uint32_t>(n);
+    ar.u32(count);
+    if constexpr (Ar::kLoading) {
+        if (count != n)
+            ar.fail();
+    }
+}
+
+/**
+ * Length-prefixed sub-records: a u32 count, then per item a u64 byte
+ * length and @p body's bytes for it. A load needs the count to match
+ * @p items and each record to be consumed exactly.
+ */
+template <class Ar, class T, class Body>
+void
+subRecords(Ar &ar, const std::vector<T *> &items, Body &&body)
+{
+    recordCount(ar, items.size());
+    for (T *item : items) {
+        if constexpr (Ar::kLoading) {
+            if (!ar.ok())
+                return;
+            std::uint64_t len = 0;
+            ar.u64(len);
+            Source sub = ar.slice(len);
+            body(*item, sub);
+            if (!sub.exhausted())
+                ar.fail();
+        } else {
+            Sink sub;
+            body(std::as_const(*item), sub);
+            ar.u64(sub.size());
+            ar.bytes(sub.data().data(), sub.size());
+        }
+    }
+}
+
+/**
+ * The rig's state as named sections, in encode/apply order: the one
+ * table capture and restore both walk. @p visit gets each section's
+ * name and its state body, a callable over a Sink or a Source, and
+ * returns false to stop the walk. Frame owners and barrier waiters
+ * travel as ids in ordered pointer tables built from the rig; the
+ * MemoryManager's balloon space, which is not one of the rig's
+ * spaces, owns frames too and rides as the spaces table's extra entry.
+ */
+template <class Visit>
+bool
+forEachSection(const RigView &rig, Visit &&visit)
+{
+    const RefTable<AddressSpace> spaces(rig.spaces,
+                                        &rig.mm->balloonSpace());
+    const RefTable<SimActor> actors(rig.actors);
+    const auto stateBody = [](auto &obj, auto &ar) { archive(obj, ar); };
+    const auto virtualBody = [](auto &obj, auto &ar) {
+        virtualState(obj, ar);
+    };
+    return visit("sim", [&](auto &ar) { archive(*rig.sim, ar); }) &&
+           visit("spaces",
+                 [&](auto &ar) { subRecords(ar, rig.spaces, stateBody); }) &&
+           visit("frames",
+                 [&](auto &ar) { archive(*rig.frames, ar, spaces); }) &&
+           visit("mm", [&](auto &ar) { archive(*rig.mm, ar, spaces); }) &&
+           visit("swap", [&](auto &ar) { archive(*rig.swap, ar); }) &&
+           visit("workloads",
+                 [&](auto &ar) {
+                     subRecords(ar, rig.workloads, virtualBody);
+                 }) &&
+           visit("actors",
+                 [&](auto &ar) { subRecords(ar, rig.actors, virtualBody); }) &&
+           visit("barriers", [&](auto &ar) {
+               for (Workload *wl : rig.workloads) {
+                   std::vector<SimBarrier *> barriers;
+                   wl->forEachBarrier([&barriers](SimBarrier &b) {
+                       barriers.push_back(&b);
+                   });
+                   recordCount(ar, barriers.size());
+                   for (SimBarrier *b : barriers)
+                       archive(*b, ar, actors);
+               }
+           });
 }
 
 } // namespace
@@ -235,78 +275,12 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
             "capture requested while I/O, waiters, or metrics are "
             "live");
 
-    const auto space_id =
-        [&rig](const AddressSpace &space) -> std::uint32_t {
-        for (std::size_t i = 0; i < rig.spaces.size(); ++i)
-            if (rig.spaces[i] == &space)
-                return static_cast<std::uint32_t>(i);
-        assert(&space == &rig.mm->balloonSpace() &&
-               "frame owned by a space outside the rig");
-        return kBalloonSpaceId;
-    };
-    const auto actor_index =
-        [&rig](const SimActor &actor) -> std::uint32_t {
-        for (std::size_t i = 0; i < rig.actors.size(); ++i)
-            if (rig.actors[i] == &actor)
-                return static_cast<std::uint32_t>(i);
-        assert(false && "barrier waiter outside the rig's actor list");
-        return 0;
-    };
-
-    Sink payloads[kSectionCount];
-    std::size_t s = 0;
-
-    rig.sim->saveState(payloads[s++]); // sim
-
-    {
-        Sink &sink = payloads[s++]; // spaces
-        sink.u32(static_cast<std::uint32_t>(rig.spaces.size()));
-        for (const AddressSpace *space : rig.spaces) {
-            Sink sub;
-            space->saveState(sub);
-            sink.u64(sub.size());
-            sink.bytes(sub.data().data(), sub.size());
-        }
-    }
-
-    rig.frames->saveState(payloads[s++], space_id); // frames
-    rig.mm->saveState(payloads[s++], space_id);     // mm
-    rig.swap->saveState(payloads[s++]);             // swap
-
-    {
-        Sink &sink = payloads[s++]; // workloads
-        sink.u32(static_cast<std::uint32_t>(rig.workloads.size()));
-        for (const Workload *wl : rig.workloads) {
-            Sink sub;
-            wl->saveState(sub);
-            sink.u64(sub.size());
-            sink.bytes(sub.data().data(), sub.size());
-        }
-    }
-
-    {
-        Sink &sink = payloads[s++]; // actors
-        sink.u32(static_cast<std::uint32_t>(rig.actors.size()));
-        for (const SimActor *actor : rig.actors) {
-            Sink sub;
-            actor->saveState(sub);
-            sink.u64(sub.size());
-            sink.bytes(sub.data().data(), sub.size());
-        }
-    }
-
-    {
-        Sink &sink = payloads[s++]; // barriers
-        for (Workload *wl : rig.workloads) {
-            std::vector<SimBarrier *> barriers;
-            wl->forEachBarrier(
-                [&barriers](SimBarrier &b) { barriers.push_back(&b); });
-            sink.u32(static_cast<std::uint32_t>(barriers.size()));
-            for (const SimBarrier *b : barriers)
-                b->saveState(sink, actor_index);
-        }
-    }
-    assert(s == kSectionCount);
+    std::vector<std::pair<const char *, Sink>> sections;
+    forEachSection(rig, [&sections](const char *name, auto &&body) {
+        sections.emplace_back(name, Sink());
+        body(sections.back().second);
+        return true;
+    });
 
     Sink image;
     // The image re-copies every section payload; reserve the exact
@@ -314,10 +288,8 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
     // framing + payload bytes) so the frames section's hundreds of
     // MB are copied once, not re-copied on every geometric grow.
     std::size_t imageBytes = 8 + 4 + 8 + 8 + 8 + 8 + 4;
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-        imageBytes += 4 + std::strlen(kSectionNames[i]) + 8 + 8 +
-                      payloads[i].size();
-    }
+    for (const auto &[name, payload] : sections)
+        imageBytes += 4 + std::strlen(name) + 8 + 8 + payload.size();
     image.reserve(imageBytes);
     image.u64(kCheckpointMagic);
     image.u32(kCheckpointVersion);
@@ -325,14 +297,13 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
     image.u64(seed);
     image.u64(rig.sim->now());
     image.u64(refs);
-    image.u32(static_cast<std::uint32_t>(kSectionCount));
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-        const char *name = kSectionNames[i];
+    image.u32(static_cast<std::uint32_t>(sections.size()));
+    for (const auto &[name, payload] : sections) {
         image.u32(static_cast<std::uint32_t>(std::strlen(name)));
         image.bytes(name, std::strlen(name));
-        image.u64(payloads[i].size());
-        image.u64(fnv1a(payloads[i].data().data(), payloads[i].size()));
-        image.bytes(payloads[i].data().data(), payloads[i].size());
+        image.u64(payload.size());
+        image.u64(fnv1a(payload.data().data(), payload.size()));
+        image.bytes(payload.data().data(), payload.size());
     }
 
     out.configHash = config_hash;
@@ -357,161 +328,74 @@ restoreCheckpoint(const RigView &rig, std::uint64_t config_hash,
         return makeError(CheckpointError::Kind::ConfigMismatch,
                          "checkpoint was produced by a different "
                          "configuration or seed");
-    for (const char *name : kSectionNames)
-        if (img.section(name) == nullptr)
-            return makeError(CheckpointError::Kind::SectionMissing,
-                             std::string("section '") + name +
-                                 "' missing");
+    CheckpointError err;
+    forEachSection(rig, [&img, &err](const char *name, auto &&) {
+        if (img.section(name) != nullptr)
+            return true;
+        err = makeError(CheckpointError::Kind::SectionMissing,
+                        std::string("section '") + name + "' missing");
+        return false;
+    });
+    if (!err.ok())
+        return err;
 
     // Layout replay check: a restore rig rebuilt the workload from the
     // same config/seed, so every space's bump-allocator cursor must
     // match the recorded one. Peeked here, before any state moves.
     {
-        const ParsedSection &sec = *img.section("spaces");
-        RawCursor cur{sec.data, static_cast<std::size_t>(sec.len)};
-        const std::uint32_t count = cur.u32();
+        Source cur = img.section("spaces")->payload;
+        std::uint32_t count = 0;
+        cur.u32(count);
         if (count != rig.spaces.size())
             return makeError(CheckpointError::Kind::ConfigMismatch,
                              "checkpoint has " + std::to_string(count) +
                                  " spaces, rig has " +
                                  std::to_string(rig.spaces.size()));
         for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint64_t len = cur.u64();
-            RawCursor peek{cur.slice(static_cast<std::size_t>(len)),
-                           static_cast<std::size_t>(len)};
-            if (!cur.ok)
+            std::uint64_t len = 0;
+            cur.u64(len);
+            Source peek = cur.slice(len);
+            if (!cur.ok())
                 return makeError(CheckpointError::Kind::Truncated,
                                  "spaces section truncated");
-            const std::uint64_t recorded = peek.u64();
-            if (!peek.ok || recorded != rig.spaces[i]->nextVpn())
+            std::uint64_t recorded = 0;
+            peek.u64(recorded);
+            if (!peek.ok() || recorded != rig.spaces[i]->nextVpn())
                 return makeError(
                     CheckpointError::Kind::ConfigMismatch,
                     "space " + std::to_string(i) +
                         " layout differs from the checkpoint");
         }
     }
-    {
-        RawCursor cur{img.section("workloads")->data,
-                      static_cast<std::size_t>(
-                          img.section("workloads")->len)};
-        if (cur.u32() != rig.workloads.size())
-            return makeError(CheckpointError::Kind::ConfigMismatch,
-                             "workload count differs");
-    }
-    {
-        RawCursor cur{img.section("actors")->data,
-                      static_cast<std::size_t>(
-                          img.section("actors")->len)};
-        if (cur.u32() != rig.actors.size())
-            return makeError(CheckpointError::Kind::ConfigMismatch,
-                             "actor count differs");
-    }
-
-    // ---- Apply. A failure past this point means a format bug; the
-    // caller must discard the half-restored rig. ----------------------
-    const auto decodeFail = [](const char *name) {
-        return makeError(CheckpointError::Kind::Unsupported,
-                         std::string("section '") + name +
-                             "' failed to decode");
+    const auto recordCount = [&img](const char *name) {
+        Source cur = img.section(name)->payload;
+        std::uint32_t count = 0;
+        cur.u32(count);
+        return count;
     };
-    const auto space_at = [&rig](std::uint32_t id) -> AddressSpace * {
-        if (id == kBalloonSpaceId)
-            return &rig.mm->balloonSpace();
-        assert(id < rig.spaces.size());
-        return rig.spaces[id];
-    };
+    if (recordCount("workloads") != rig.workloads.size())
+        return makeError(CheckpointError::Kind::ConfigMismatch,
+                         "workload count differs");
+    if (recordCount("actors") != rig.actors.size())
+        return makeError(CheckpointError::Kind::ConfigMismatch,
+                         "actor count differs");
 
+    // ---- Apply. A failure past this point means a format bug or an
+    // out-of-range value; the caller must discard the half-restored
+    // rig. -------------------------------------------------------------
     rig.sim->events().restoreClock(img.when);
-
-    {
-        const ParsedSection &sec = *img.section("sim");
-        Source src(sec.data, static_cast<std::size_t>(sec.len));
-        rig.sim->restoreState(src);
-        if (!src.exhausted())
-            return decodeFail("sim");
-    }
-    {
-        const ParsedSection &sec = *img.section("spaces");
-        RawCursor cur{sec.data, static_cast<std::size_t>(sec.len)};
-        const std::uint32_t count = cur.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint64_t len = cur.u64();
-            const std::uint8_t *payload =
-                cur.slice(static_cast<std::size_t>(len));
-            Source src(payload, static_cast<std::size_t>(len));
-            if (!rig.spaces[i]->restoreState(src) || !src.exhausted())
-                return decodeFail("spaces");
-        }
-    }
-    {
-        const ParsedSection &sec = *img.section("frames");
-        Source src(sec.data, static_cast<std::size_t>(sec.len));
-        rig.frames->restoreState(src, space_at);
-        if (!src.exhausted())
-            return decodeFail("frames");
-    }
-    {
-        const ParsedSection &sec = *img.section("mm");
-        Source src(sec.data, static_cast<std::size_t>(sec.len));
-        rig.mm->restoreState(src, space_at);
-        if (!src.exhausted())
-            return decodeFail("mm");
-    }
-    {
-        const ParsedSection &sec = *img.section("swap");
-        Source src(sec.data, static_cast<std::size_t>(sec.len));
-        rig.swap->restoreState(src);
-        if (!src.exhausted())
-            return decodeFail("swap");
-    }
-    {
-        const ParsedSection &sec = *img.section("workloads");
-        RawCursor cur{sec.data, static_cast<std::size_t>(sec.len)};
-        const std::uint32_t count = cur.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint64_t len = cur.u64();
-            const std::uint8_t *payload =
-                cur.slice(static_cast<std::size_t>(len));
-            Source src(payload, static_cast<std::size_t>(len));
-            rig.workloads[i]->restoreState(src);
-            if (!src.exhausted())
-                return decodeFail("workloads");
-        }
-    }
-    {
-        const ParsedSection &sec = *img.section("actors");
-        RawCursor cur{sec.data, static_cast<std::size_t>(sec.len)};
-        const std::uint32_t count = cur.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint64_t len = cur.u64();
-            const std::uint8_t *payload =
-                cur.slice(static_cast<std::size_t>(len));
-            Source src(payload, static_cast<std::size_t>(len));
-            rig.actors[i]->restoreState(src);
-            if (!src.exhausted())
-                return decodeFail("actors");
-        }
-    }
-    {
-        const ParsedSection &sec = *img.section("barriers");
-        Source src(sec.data, static_cast<std::size_t>(sec.len));
-        const auto actor_at = [&rig](std::uint32_t i) -> SimActor & {
-            assert(i < rig.actors.size());
-            return *rig.actors[i];
-        };
-        for (Workload *wl : rig.workloads) {
-            std::vector<SimBarrier *> barriers;
-            wl->forEachBarrier(
-                [&barriers](SimBarrier &b) { barriers.push_back(&b); });
-            const std::uint32_t count = src.u32();
-            if (count != barriers.size())
-                return decodeFail("barriers");
-            for (SimBarrier *b : barriers)
-                b->restoreState(src, actor_at);
-        }
-        if (!src.exhausted())
-            return decodeFail("barriers");
-    }
+    forEachSection(rig, [&img, &err](const char *name, auto &&body) {
+        Source src = img.section(name)->payload;
+        body(src);
+        if (src.exhausted())
+            return true;
+        err = makeError(CheckpointError::Kind::Unsupported,
+                        std::string("section '") + name +
+                            "' failed to decode");
+        return false;
+    });
+    if (!err.ok())
+        return err;
 
     // Re-create each actor's pending event in the saved (when, seq)
     // order: fresh sequence numbers are assigned ascending, so the
@@ -535,9 +419,13 @@ restoreCheckpoint(const RigView &rig, std::uint64_t config_hash,
 CheckpointError
 saveCheckpointFile(const std::string &path, const Checkpoint &ckpt)
 {
+    // The temp name carries the pid as well as a per-process counter:
+    // processes sharing PAGESIM_CHECKPOINT_DIR must never truncate or
+    // rename each other's half-written files.
     static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp =
-        path + ".tmp" + std::to_string(counter.fetch_add(1));
+    const std::string tmp = path + ".tmp" + std::to_string(::getpid()) +
+                            "-" + std::to_string(counter.fetch_add(1));
+    std::error_code ec;
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
@@ -545,11 +433,13 @@ saveCheckpointFile(const std::string &path, const Checkpoint &ckpt)
                              "cannot open '" + tmp + "' for writing");
         out.write(reinterpret_cast<const char *>(ckpt.bytes.data()),
                   static_cast<std::streamsize>(ckpt.bytes.size()));
-        if (!out)
+        if (!out) {
+            out.close();
+            std::filesystem::remove(tmp, ec);
             return makeError(CheckpointError::Kind::Io,
                              "short write to '" + tmp + "'");
+        }
     }
-    std::error_code ec;
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
         std::filesystem::remove(tmp, ec);

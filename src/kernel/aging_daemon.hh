@@ -31,25 +31,20 @@ class AgingDaemon : public SimActor
     /** Aging passes this daemon executed. */
     std::uint64_t passes() const { return passes_; }
 
-    void
-    saveState(Sink &sink) const override
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
+
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        SimActor::saveState(sink);
-        sink.u64(passes_);
-        sink.u64(cursor_);
-        sink.u64(pendingSleepNs_);
-        rng_.saveState(sink);
+        SimActor::state(self, ar);
+        ar.u64(self.passes_);
+        ar.u64(self.cursor_);
+        ar.u64(self.pendingSleepNs_);
+        Rng::state(self.rng_, ar);
     }
 
-    void
-    restoreState(Source &src) override
-    {
-        SimActor::restoreState(src);
-        passes_ = src.u64();
-        cursor_ = src.u64();
-        pendingSleepNs_ = src.u64();
-        rng_.restoreState(src);
-    }
 
   protected:
     void step() override;

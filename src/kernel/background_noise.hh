@@ -59,26 +59,19 @@ class BackgroundNoise : public SimActor
     std::uint64_t bursts() const { return bursts_; }
     std::uint64_t framesGrabbed() const { return framesGrabbed_; }
 
-    void
-    saveState(Sink &sink) const override
-    {
-        SimActor::saveState(sink);
-        rng_.saveState(sink);
-        sink.u8(static_cast<std::uint8_t>(phase_));
-        sink.podVec(held_);
-        sink.u64(bursts_);
-        sink.u64(framesGrabbed_);
-    }
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
 
-    void
-    restoreState(Source &src) override
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        SimActor::restoreState(src);
-        rng_.restoreState(src);
-        phase_ = static_cast<Phase>(src.u8());
-        src.podVec(held_);
-        bursts_ = src.u64();
-        framesGrabbed_ = src.u64();
+        SimActor::state(self, ar);
+        Rng::state(self.rng_, ar);
+        ar.enum8(self.phase_, Phase::Release);
+        ar.podVec(self.held_);
+        ar.u64(self.bursts_);
+        ar.u64(self.framesGrabbed_);
     }
 
   protected:
@@ -95,8 +88,8 @@ class BackgroundNoise : public SimActor
 
     MemoryManager &mm_;
     Rng rng_;
-    // lint:state-cov-ok(construction parameter replayed when the restore rig is rebuilt)
-    NoiseConfig config_;
+    const NoiseConfig config_;
+
     Phase phase_ = Phase::Idle;
     std::vector<Pfn> held_;
     std::uint64_t bursts_ = 0;

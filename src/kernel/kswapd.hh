@@ -31,21 +31,18 @@ class Kswapd : public SimActor
     /** Reclaim rounds that made no progress. */
     std::uint64_t stalls() const { return stalls_; }
 
-    void
-    saveState(Sink &sink) const override
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
+
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        SimActor::saveState(sink);
-        sink.u64(reclaimed_);
-        sink.u64(stalls_);
+        SimActor::state(self, ar);
+        ar.u64(self.reclaimed_);
+        ar.u64(self.stalls_);
     }
 
-    void
-    restoreState(Source &src) override
-    {
-        SimActor::restoreState(src);
-        reclaimed_ = src.u64();
-        stalls_ = src.u64();
-    }
 
   protected:
     void step() override;

@@ -194,42 +194,27 @@ class Memcg
      * restored wholesale by FrameTable, and the auditor recounts the
      * pair on the next audit exactly as in a straight-through run.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.u64(stats_.minorFaults);
-        sink.u64(stats_.majorFaults);
-        sink.u64(stats_.ioWaitFaults);
-        sink.u64(stats_.directReclaims);
-        sink.u64(stats_.evictions);
-        sink.u64(stats_.throttleEvents);
-        sink.u64(stats_.protectedSkips);
-        sink.u32(stats_.peakUsage);
-        sink.u32(usage_);
-        policy_.saveState(sink);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        stats_.minorFaults = src.u64();
-        stats_.majorFaults = src.u64();
-        stats_.ioWaitFaults = src.u64();
-        stats_.directReclaims = src.u64();
-        stats_.evictions = src.u64();
-        stats_.throttleEvents = src.u64();
-        stats_.protectedSkips = src.u64();
-        stats_.peakUsage = src.u32();
-        usage_ = src.u32();
-        policy_.restoreState(src);
+        ar.u64(self.stats_.minorFaults);
+        ar.u64(self.stats_.majorFaults);
+        ar.u64(self.stats_.ioWaitFaults);
+        ar.u64(self.stats_.directReclaims);
+        ar.u64(self.stats_.evictions);
+        ar.u64(self.stats_.throttleEvents);
+        ar.u64(self.stats_.protectedSkips);
+        ar.u32(self.stats_.peakUsage);
+        ar.u32(self.usage_);
+        virtualState(self.policy_, ar);
     }
 
   private:
-    // lint:state-cov-ok(construction identity; restore pairs memcgs by index into an identically-configured rig)
-    MemcgId id_;
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
-    MemcgConfig config_;
+    /** Restore pairs memcgs by index into an identically built rig. */
+    const MemcgId id_;
+    const MemcgConfig config_;
+
     ReplacementPolicy &policy_;
     MemcgStats stats_;
     std::uint32_t usage_ = 0;

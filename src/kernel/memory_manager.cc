@@ -762,76 +762,53 @@ MemoryManager::wakeFrameWaiters()
         actor->wake();
 }
 
+template <class Self, class Ar>
 void
-MemoryManager::saveState(
-    Sink &sink,
-    const std::function<std::uint32_t(const AddressSpace &)> &space_id)
-    const
+MemoryManager::state(Self &self, Ar &ar,
+                     const RefTable<AddressSpace> &spaces)
 {
-    assert(quiescentForCheckpoint());
-    sink.u64(stats_.majorFaults);
-    sink.u64(stats_.minorFaults);
-    sink.u64(stats_.ioWaitFaults);
-    sink.u64(stats_.evictions);
-    sink.u64(stats_.dirtyWritebacks);
-    sink.u64(stats_.cleanDrops);
-    sink.u64(stats_.writebackRemaps);
-    sink.u64(stats_.readaheadReads);
-    sink.u64(stats_.readaheadHits);
-    sink.u64(stats_.directReclaims);
-    sink.u64(stats_.directAging);
-    sink.u64(stats_.allocStalls);
-    sink.u64(rrCursor_);
-    sink.u64(lowBreaches_);
-    sink.u64(balloonVpn_);
-    sink.f64(raHitRate_);
-    sink.u64(reclaimBatches_);
-    sink.u64(tierStats_.demotions);
-    sink.u64(tierStats_.promotions);
-    sink.u64(tierStats_.slowHits);
-    sink.u64(tierStats_.slowEvictions);
-    slowFrames_.saveState(sink, space_id);
-    slowList_.saveState(sink);
-    sink.u32(static_cast<std::uint32_t>(memcgs_.size()));
-    for (const auto &m : memcgs_)
-        m->saveState(sink);
+    if constexpr (!Ar::kLoading)
+        assert(self.quiescentForCheckpoint());
+    ar.u64(self.stats_.majorFaults);
+    ar.u64(self.stats_.minorFaults);
+    ar.u64(self.stats_.ioWaitFaults);
+    ar.u64(self.stats_.evictions);
+    ar.u64(self.stats_.dirtyWritebacks);
+    ar.u64(self.stats_.cleanDrops);
+    ar.u64(self.stats_.writebackRemaps);
+    ar.u64(self.stats_.readaheadReads);
+    ar.u64(self.stats_.readaheadHits);
+    ar.u64(self.stats_.directReclaims);
+    ar.u64(self.stats_.directAging);
+    ar.u64(self.stats_.allocStalls);
+    ar.u64(self.rrCursor_);
+    ar.u64(self.lowBreaches_);
+    ar.u64(self.balloonVpn_);
+    ar.f64(self.raHitRate_);
+    ar.u64(self.reclaimBatches_);
+    ar.u64(self.tierStats_.demotions);
+    ar.u64(self.tierStats_.promotions);
+    ar.u64(self.tierStats_.slowHits);
+    ar.u64(self.tierStats_.slowEvictions);
+    FrameTable::state(self.slowFrames_, ar, spaces);
+    FrameList::state(self.slowList_, ar);
+    auto n = static_cast<std::uint32_t>(self.memcgs_.size());
+    ar.u32(n);
+    if constexpr (Ar::kLoading) {
+        // A count mismatch means the caller skipped the config-hash
+        // and fingerprint validation that guards restore — a
+        // programming error; release builds still reject the image.
+        assert(n == self.memcgs_.size());
+        if (n != self.memcgs_.size())
+            ar.fail();
+    }
+    for (const auto &m : self.memcgs_)
+        Memcg::state(*m, ar);
 }
 
-void
-MemoryManager::restoreState(
-    Source &src,
-    const std::function<AddressSpace *(std::uint32_t)> &space_at)
-{
-    stats_.majorFaults = src.u64();
-    stats_.minorFaults = src.u64();
-    stats_.ioWaitFaults = src.u64();
-    stats_.evictions = src.u64();
-    stats_.dirtyWritebacks = src.u64();
-    stats_.cleanDrops = src.u64();
-    stats_.writebackRemaps = src.u64();
-    stats_.readaheadReads = src.u64();
-    stats_.readaheadHits = src.u64();
-    stats_.directReclaims = src.u64();
-    stats_.directAging = src.u64();
-    stats_.allocStalls = src.u64();
-    rrCursor_ = src.u64();
-    lowBreaches_ = src.u64();
-    balloonVpn_ = src.u64();
-    raHitRate_ = src.f64();
-    reclaimBatches_ = src.u64();
-    tierStats_.demotions = src.u64();
-    tierStats_.promotions = src.u64();
-    tierStats_.slowHits = src.u64();
-    tierStats_.slowEvictions = src.u64();
-    slowFrames_.restoreState(src, space_at);
-    slowList_.restoreState(src);
-    const std::uint32_t n = src.u32();
-    // A count mismatch means the caller skipped the config-hash and
-    // fingerprint validation that guards restore — programming error.
-    assert(n == memcgs_.size());
-    (void)n;
-    for (auto &m : memcgs_)
-        m->restoreState(src);
-}
+template void MemoryManager::state(const MemoryManager &, Sink &,
+                                   const RefTable<AddressSpace> &);
+template void MemoryManager::state(MemoryManager &, Source &,
+                                   const RefTable<AddressSpace> &);
 
 } // namespace pagesim

@@ -36,17 +36,15 @@ class YcsbStream : public OpStream
 {
   public:
     YcsbStream(YcsbWorkload &wl, unsigned tid)
-        : wl_(wl), tid_(tid),
+        : wl_(wl),
           rng_(splitmix64(wl.config_.seed ^ (1000 + tid))),
-          zipf_(wl.store_.items(), wl.config_.zipfTheta, true)
+          zipf_(wl.store_.items(), wl.config_.zipfTheta, true),
+          loadLo_(wl.store_.items() * tid / wl.config_.threads),
+          loadHi_(wl.store_.items() * (tid + 1) / wl.config_.threads),
+          requests_(static_cast<std::uint64_t>(
+              static_cast<double>(wl.store_.items()) *
+              wl.config_.requestsPerItem / wl.config_.threads))
     {
-        const std::uint64_t items = wl_.store_.items();
-        const unsigned T = wl_.config_.threads;
-        loadLo_ = items * tid_ / T;
-        loadHi_ = items * (tid_ + 1) / T;
-        requests_ = static_cast<std::uint64_t>(
-            static_cast<double>(items) * wl_.config_.requestsPerItem /
-            T);
     }
 
     bool
@@ -100,35 +98,23 @@ class YcsbStream : public OpStream
         return false;
     }
 
-    void
-    saveState(Sink &sink) const override
-    {
-        // loadHi_/requests_ are pure functions of the config, replayed
-        // at construction; only the cursors and the draw state move.
-        sink.u8(static_cast<std::uint8_t>(phase_));
-        sink.u64(loadLo_);
-        sink.u64(done_);
-        rng_.saveState(sink);
-        sink.u64(queue_.size());
-        for (const Op &op : queue_)
-            op.saveState(sink);
-        sink.u64(queueHead_);
-    }
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
 
-    void
-    restoreState(Source &src) override
+    /**
+     * loadHi_/requests_ are pure functions of the config, replayed at
+     * construction; only the cursors and the draw state move.
+     */
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        phase_ = static_cast<Phase>(src.u8());
-        loadLo_ = src.u64();
-        done_ = src.u64();
-        rng_.restoreState(src);
-        queue_.clear();
-        const std::uint64_t n = src.u64();
-        queue_.resize(static_cast<std::size_t>(
-            n <= 64 ? n : 0)); // a request expands to a handful of ops
-        for (Op &op : queue_)
-            op.restoreState(src);
-        queueHead_ = src.u64();
+        ar.enum8(self.phase_, Phase::Requests);
+        ar.u64(self.loadLo_);
+        ar.u64(self.done_);
+        Rng::state(self.rng_, ar);
+        ar.records(self.queue_, [&ar](auto &op) { Op::state(op, ar); });
+        ar.u64(self.queueHead_);
     }
 
   private:
@@ -153,17 +139,14 @@ class YcsbStream : public OpStream
     }
 
     YcsbWorkload &wl_;
-    // lint:state-cov-ok(thread identity fixed at construction)
-    unsigned tid_;
     Rng rng_;
-    // lint:state-cov-ok(precomputed zeta tables, a pure function of the config item count)
-    ZipfianGenerator zipf_;
+    /** Precomputed zeta tables over the config's item count. */
+    const ZipfianGenerator zipf_;
     Phase phase_ = Phase::Load;
-    std::uint64_t loadLo_ = 0;
-    // lint:state-cov-ok(load partition bound, a pure function of config replayed at construction)
-    std::uint64_t loadHi_ = 0;
-    // lint:state-cov-ok(per-thread request target, a pure function of config replayed at construction)
-    std::uint64_t requests_ = 0;
+    std::uint64_t loadLo_;
+    const std::uint64_t loadHi_;
+    /** Per-thread request target. */
+    const std::uint64_t requests_;
     std::uint64_t done_ = 0;
     std::vector<Op> queue_;
     std::size_t queueHead_ = 0;

@@ -94,33 +94,25 @@ class YcsbWorkload : public Workload
             fn(*barrier_);
     }
 
-    void
-    saveState(Sink &sink) const override
-    {
-        sink.boolean(measuring_);
-        sink.u64(measureStart_);
-        sink.u64(faultsAtMeasureStart_);
-        readHist_.saveState(sink);
-        writeHist_.saveState(sink);
-    }
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
 
-    void
-    restoreState(Source &src) override
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        measuring_ = src.boolean();
-        measureStart_ = src.u64();
-        faultsAtMeasureStart_ = src.u64();
-        readHist_.restoreState(src);
-        writeHist_.restoreState(src);
+        ar.boolean(self.measuring_);
+        ar.u64(self.measureStart_);
+        ar.u64(self.faultsAtMeasureStart_);
+        LatencyHistogram::state(self.readHist_, ar);
+        LatencyHistogram::state(self.writeHist_, ar);
     }
 
   private:
     friend class YcsbStream;
 
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
-    YcsbConfig config_;
-    // lint:state-cov-ok(display name fixed at construction)
-    std::string name_;
+    const YcsbConfig config_;
+    const std::string name_;
     // lint:state-cov-ok(pure layout calculator over the config: bucket and slab addresses, no run state)
     KvStore store_;
     // lint:state-cov-ok(barrier contents are captured by the checkpoint's dedicated barrier section)

@@ -138,37 +138,29 @@ class AddressSpace
      * nextVpn_, aslrSeed_) is NOT captured: a restore target replays
      * the same workload build with the same ASLR seed, which recreates
      * it bit-identically; only the page table's contents evolve during
-     * a run. nextVpn_ rides along as a cheap layout-replay check.
+     * a run. nextVpn_ rides along as a cheap layout-replay check: a
+     * load whose recorded value differs from the replayed layout
+     * fails the Source before the table is touched.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.u64(nextVpn_);
-        table_.saveState(sink);
-    }
-
-    /**
-     * Restore state captured by saveState().
-     * @return false when the recorded layout does not match this
-     *         space's replayed layout (config/seed mismatch).
-     */
-    bool
-    restoreState(Source &src)
-    {
-        const Vpn recorded = src.u64();
-        if (recorded != nextVpn_)
-            return false;
-        table_.restoreState(src);
-        return true;
+        Vpn recorded = self.nextVpn_;
+        ar.u64(recorded);
+        if constexpr (Ar::kLoading) {
+            if (recorded != self.nextVpn_)
+                ar.fail();
+        }
+        PageTable::state(self.table_, ar);
     }
 
   private:
-    // lint:state-cov-ok(construction identity; the checkpoint layer re-links spaces by this stable id)
-    std::uint32_t id_;
+    const std::uint32_t id_;
     // lint:state-cov-ok(scenario wiring assigned during rig construction before restore)
     MemcgId memcg_ = 0;
     PageTable table_;
-    // lint:state-cov-ok(layout replayed by construction; restoreState validates it against the recorded nextVpn)
+    // lint:state-cov-ok(layout replayed by construction; a load validates it against the recorded nextVpn)
     std::vector<Vma> vmas_;
     Vpn nextVpn_ = 0;
     // lint:state-cov-ok(forked from the root seed at construction; the replayed layout is validated on restore)

@@ -28,8 +28,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <type_traits>
 #include <vector>
 
 #include "mem/types.hh"
@@ -204,109 +202,46 @@ class FrameTable
     const std::vector<Pfn> &freeList() const { return freeList_; }
 
     /**
-     * Checkpoint every lane. The space_ lane holds raw pointers, so
-     * @p space_id maps each owner to a stable id (kNoSpaceId for
-     * free/unowned frames); everything else moves via bulk podVec.
-     * The free list is captured verbatim — its ORDER is allocator
-     * state (pop_back yields the next pfn).
+     * Checkpoint every lane. The space_ lane holds raw pointers, so it
+     * travels as ids in @p spaces (RefTable::kNullRef for free or
+     * unowned frames); everything else moves via bulk podVec. The free
+     * list is captured verbatim — its ORDER is allocator state
+     * (pop_back yields the next pfn).
      */
-    static constexpr std::uint32_t kNoSpaceId = UINT32_MAX;
-
-    void
-    saveState(Sink &sink,
-              const std::function<std::uint32_t(const AddressSpace &)>
-                  &space_id) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar, const RefTable<AddressSpace> &spaces)
     {
-        std::vector<std::uint32_t> ids(space_.size(), kNoSpaceId);
-        // space_id is a std::function wrapping a linear scan of the
-        // rig's space list; calling it per frame is O(frames x
-        // spaces) and capped checkpoint capture at ~0.5 GB/s. Memoize
-        // per distinct owner (pointer EQUALITY only — no ordering, so
-        // determinism is untouched and the id stream is byte-for-byte
-        // what the per-frame calls produced), with a last-owner fast
-        // path for the contiguous runs allocation order yields.
-        std::vector<std::pair<const AddressSpace *, std::uint32_t>>
-            memo;
-        const AddressSpace *last = nullptr;
-        std::uint32_t lastId = kNoSpaceId;
-        for (std::size_t i = 0; i < space_.size(); ++i) {
-            const AddressSpace *owner = space_[i];
-            if (owner == nullptr)
-                continue;
-            if (owner != last) {
-                lastId = kNoSpaceId;
-                bool found = false;
-                for (const auto &m : memo) {
-                    if (m.first == owner) {
-                        lastId = m.second;
-                        found = true;
-                        break;
-                    }
-                }
-                if (!found) {
-                    lastId = space_id(*owner);
-                    memo.emplace_back(owner, lastId);
-                }
-                last = owner;
-            }
-            ids[i] = lastId;
+        if constexpr (!Ar::kLoading) {
+            // The lane footprint is known exactly (13 count headers
+            // plus raw lane bytes); reserving it up front keeps the
+            // capture at one allocation instead of geometric re-copies
+            // of a multi-hundred-MB buffer. The byte stream is
+            // unchanged.
+            const auto lane = [](const auto &v) {
+                return 8 + v.size() * sizeof(v[0]);
+            };
+            ar.reserve(ar.size() + 8 + self.space_.size() * 4 +
+                       lane(self.vpn_) + lane(self.prev_) +
+                       lane(self.next_) + lane(self.listId_) +
+                       lane(self.gen_) + lane(self.tier_) +
+                       lane(self.file_) + lane(self.fromReadahead_) +
+                       lane(self.backing_) + lane(self.refs_) +
+                       lane(self.memcg_) + lane(self.freeList_));
         }
-        // The lane footprint is known exactly (13 podVec headers plus
-        // raw lane bytes); reserving it up front keeps the capture at
-        // one allocation instead of geometric re-copies of a
-        // multi-hundred-MB buffer. The byte stream is unchanged.
-        const auto lane = [](const auto &v) {
-            return 8 +
-                   v.size() *
-                       sizeof(typename std::decay_t<
-                              decltype(v)>::value_type);
-        };
-        sink.reserve(sink.size() + lane(ids) + lane(vpn_) +
-                     lane(prev_) + lane(next_) + lane(listId_) +
-                     lane(gen_) + lane(tier_) + lane(file_) +
-                     lane(fromReadahead_) + lane(backing_) +
-                     lane(refs_) + lane(memcg_) + lane(freeList_));
-        sink.podVec(ids);
-        sink.podVec(vpn_);
-        sink.podVec(prev_);
-        sink.podVec(next_);
-        sink.podVec(listId_);
-        sink.podVec(gen_);
-        sink.podVec(tier_);
-        sink.podVec(file_);
-        sink.podVec(fromReadahead_);
-        sink.podVec(backing_);
-        sink.podVec(refs_);
-        sink.podVec(memcg_);
-        sink.podVec(freeList_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src,
-                 const std::function<AddressSpace *(std::uint32_t)>
-                     &space_at)
-    {
-        std::vector<std::uint32_t> ids;
-        src.podVec(ids);
-        if (src.ok() && ids.size() == space_.size()) {
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-                space_[i] = ids[i] == kNoSpaceId ? nullptr
-                                                 : space_at(ids[i]);
-            }
-        }
-        src.podVec(vpn_);
-        src.podVec(prev_);
-        src.podVec(next_);
-        src.podVec(listId_);
-        src.podVec(gen_);
-        src.podVec(tier_);
-        src.podVec(file_);
-        src.podVec(fromReadahead_);
-        src.podVec(backing_);
-        src.podVec(refs_);
-        src.podVec(memcg_);
-        src.podVec(freeList_);
+        ar.ref(self.space_, spaces);
+        ar.podVec(self.vpn_);
+        ar.podVec(self.prev_);
+        ar.podVec(self.next_);
+        ar.podVec(self.listId_);
+        ar.podVec(self.gen_);
+        ar.podVec(self.tier_);
+        ar.podVec(self.file_);
+        ar.podVec(self.fromReadahead_);
+        ar.podVec(self.backing_);
+        ar.podVec(self.refs_);
+        ar.podVec(self.memcg_);
+        ar.podVec(self.freeList_);
     }
 
   private:
@@ -510,30 +445,22 @@ class FrameList
 
     /**
      * Checkpoint the list anchors. The member links live in the
-     * FrameTable lanes (captured by FrameTable::saveState); only the
+     * FrameTable lanes (captured by FrameTable::state); only the
      * head/tail/size anchors are per-list state.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.u32(head_);
-        sink.u32(tail_);
-        sink.u64(size_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        head_ = src.u32();
-        tail_ = src.u32();
-        size_ = src.u64();
+        ar.u32(self.head_);
+        ar.u32(self.tail_);
+        ar.u64(self.size_);
     }
 
   private:
     FrameTable *frames_;
-    // lint:state-cov-ok(registration identity assigned at construction, not run state)
-    std::uint8_t listId_;
+    const std::uint8_t listId_;
+
     Pfn head_ = kInvalidPfn;
     Pfn tail_ = kInvalidPfn;
     std::uint64_t size_ = 0;

@@ -336,38 +336,23 @@ class PageTable
      * counters, bitmaps, summary, running totals). The bulk podVec
      * path keeps this at memcpy speed on 64M-page tables.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.podVec(pteValue_);
-        sink.podVec(pteShadow_);
-        sink.podVec(pteFlags_);
-        sink.podVec(regions_);
-        sink.podVec(shards_);
-        sink.podVec(presentBits_);
-        sink.podVec(accessedBits_);
-        sink.podVec(mappedBits_);
-        sink.podVec(presentSummary_);
-        sink.u64(totalMapped_);
-        sink.u64(totalPresent_);
+        ar.podVec(self.pteValue_);
+        ar.podVec(self.pteShadow_);
+        ar.podVec(self.pteFlags_);
+        ar.podVec(self.regions_);
+        ar.podVec(self.shards_);
+        ar.podVec(self.presentBits_);
+        ar.podVec(self.accessedBits_);
+        ar.podVec(self.mappedBits_);
+        ar.podVec(self.presentSummary_);
+        ar.u64(self.totalMapped_);
+        ar.u64(self.totalPresent_);
     }
 
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        src.podVec(pteValue_);
-        src.podVec(pteShadow_);
-        src.podVec(pteFlags_);
-        src.podVec(regions_);
-        src.podVec(shards_);
-        src.podVec(presentBits_);
-        src.podVec(accessedBits_);
-        src.podVec(mappedBits_);
-        src.podVec(presentSummary_);
-        totalMapped_ = src.u64();
-        totalPresent_ = src.u64();
-    }
 
   private:
     static std::uint64_t bitOf(Vpn vpn) { return 1ull << (vpn % 64); }

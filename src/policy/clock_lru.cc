@@ -173,26 +173,6 @@ ClockLru::selectVictims(std::vector<Pfn> &out, std::size_t max,
 }
 
 void
-ClockLru::saveState(Sink &sink) const
-{
-    ReplacementPolicy::saveState(sink);
-    active_.saveState(sink);
-    inactive_.saveState(sink);
-    sink.u32(evictEpoch_);
-    sink.u32(starvedRounds_);
-}
-
-void
-ClockLru::restoreState(Source &src)
-{
-    ReplacementPolicy::restoreState(src);
-    active_.restoreState(src);
-    inactive_.restoreState(src);
-    evictEpoch_ = src.u32();
-    starvedRounds_ = src.u32();
-}
-
-void
 ClockLru::registerProbes(PeriodicSampler &sampler) const
 {
     sampler.probe("clock.active_pages", [this] {

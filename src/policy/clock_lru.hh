@@ -80,8 +80,19 @@ class ClockLru : public ReplacementPolicy
     const FrameList &activeList() const { return active_; }
     const FrameList &inactiveList() const { return inactive_; }
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
+
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
+    {
+        ReplacementPolicy::state(self, ar);
+        FrameList::state(self.active_, ar);
+        FrameList::state(self.inactive_, ar);
+        ar.u32(self.evictEpoch_);
+        ar.u32(self.starvedRounds_);
+    }
 
   private:
     /** Test-and-clear the accessed bit through an rmap walk. */
@@ -92,12 +103,9 @@ class ClockLru : public ReplacementPolicy
     void shrinkActive(std::uint32_t limit, CostSink &costs);
 
     FrameTable &frames_;
-    // lint:state-cov-ok(cost table fixed at construction from the validated config)
-    MmCosts costs_;
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
-    ClockConfig config_;
-    // lint:state-cov-ok(display name fixed at construction)
-    std::string name_ = "Clock";
+    const MmCosts costs_;
+    const ClockConfig config_;
+    const std::string name_ = "Clock";
     FrameList active_;
     FrameList inactive_;
     /** Monotone eviction counter; shadows record it for distances. */

@@ -62,30 +62,20 @@ class RegionBloomFilter
      * construction parameters (replayed at restore time), so only the
      * bit words and the insertion counter are captured.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.podVec(words_);
-        sink.u64(insertions_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        src.podVec(words_);
-        insertions_ = src.u64();
+        ar.podVec(self.words_);
+        ar.u64(self.insertions_);
     }
 
   private:
     std::uint64_t hashAt(std::uint64_t region, unsigned probe) const;
 
-    // lint:state-cov-ok(filter geometry fixed at construction and replayed at restore)
-    std::uint32_t bits_;
-    // lint:state-cov-ok(filter geometry fixed at construction and replayed at restore)
-    unsigned hashes_;
-    // lint:state-cov-ok(hash salt fixed at construction and replayed at restore)
-    std::uint64_t salt_;
+    const std::uint32_t bits_;
+    const unsigned hashes_;
+    const std::uint64_t salt_;
     std::vector<std::uint64_t> words_;
     std::uint64_t insertions_ = 0;
 };

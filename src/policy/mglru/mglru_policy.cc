@@ -53,16 +53,15 @@ MgLruPolicy::MgLruPolicy(FrameTable &frames,
                                  rng_.nextU64()),
                RegionBloomFilter(config.bloomBits, config.bloomHashes,
                                  rng_.nextU64())},
-      pid_(config.pid), clock_(clock)
+      pid_(config.pid), clock_(clock),
+      scanWorkers_(config.scanWorkers != 0 ? config.scanWorkers
+                   : workerOverride() != 0  ? workerOverride()
+                                            : 1)
 {
     assert(config_.maxNrGens >= 2);
     gens_.reserve(config_.maxNrGens);
     for (std::uint32_t i = 0; i < config_.maxNrGens; ++i)
         gens_.emplace_back(frames_, kGenList);
-    if (config_.scanWorkers != 0)
-        scanWorkers_ = config_.scanWorkers;
-    else if (workerOverride() != 0)
-        scanWorkers_ = workerOverride();
 }
 
 FrameList &
@@ -683,72 +682,52 @@ MgLruPolicy::onFdAccess(Pfn pfn)
     updateTier(pi);
 }
 
+template <class Self, class Ar>
+void
+MgLruPolicy::state(Self &self, Ar &ar)
+{
+    ReplacementPolicy::state(self, ar);
+    // Generation lists: the vector length is a config parameter
+    // (maxNrGens), replayed at reconstruction; only the anchors move.
+    for (auto &gen : self.gens_)
+        FrameList::state(gen, ar);
+    ar.u64(self.minSeq_);
+    ar.u64(self.maxSeq_);
+    ar.u64(self.resident_);
+    RegionBloomFilter::state(self.filters_[0], ar);
+    RegionBloomFilter::state(self.filters_[1], ar);
+    ar.u32(self.activeFilter_);
+    ar.boolean(self.filterWarm_);
+    TierPidController::state(self.pid_, ar);
+    ar.u64(self.mgStats_.genCreations);
+    ar.u64(self.mgStats_.genCreationBlocked);
+    ar.u64(self.mgStats_.bloomInsertions);
+    ar.u64(self.mgStats_.neighborScans);
+    ar.u64(self.mgStats_.neighborPromotions);
+    ar.u64(self.mgStats_.tierProtected);
+    ar.u64(self.mgStats_.staleRefaults);
+    ar.u64(self.mgStats_.lateGenCreations);
+    ar.u32(self.starvedRounds_);
+    ar.u64(self.evictedAtLastAge_);
+    ar.u64(self.lastPassNs_);
+    ar.boolean(self.walk_.active);
+    ar.u64(self.walk_.spaceIdx);
+    ar.u64(self.walk_.region);
+    ar.boolean(self.walk_.canInc);
+    ar.u64(self.walk_.promoteSeq);
+    Rng::state(self.rng_, ar);
+}
+
 void
 MgLruPolicy::saveState(Sink &sink) const
 {
-    ReplacementPolicy::saveState(sink);
-    // Generation lists: the vector length is a config parameter
-    // (maxNrGens), replayed at reconstruction; only the anchors move.
-    for (const auto &gen : gens_)
-        gen.saveState(sink);
-    sink.u64(minSeq_);
-    sink.u64(maxSeq_);
-    sink.u64(resident_);
-    filters_[0].saveState(sink);
-    filters_[1].saveState(sink);
-    sink.u32(activeFilter_);
-    sink.boolean(filterWarm_);
-    pid_.saveState(sink);
-    sink.u64(mgStats_.genCreations);
-    sink.u64(mgStats_.genCreationBlocked);
-    sink.u64(mgStats_.bloomInsertions);
-    sink.u64(mgStats_.neighborScans);
-    sink.u64(mgStats_.neighborPromotions);
-    sink.u64(mgStats_.tierProtected);
-    sink.u64(mgStats_.staleRefaults);
-    sink.u64(mgStats_.lateGenCreations);
-    sink.u32(starvedRounds_);
-    sink.u64(evictedAtLastAge_);
-    sink.u64(lastPassNs_);
-    sink.boolean(walk_.active);
-    sink.u64(walk_.spaceIdx);
-    sink.u64(walk_.region);
-    sink.boolean(walk_.canInc);
-    sink.u64(walk_.promoteSeq);
-    rng_.saveState(sink);
+    state(*this, sink);
 }
 
 void
 MgLruPolicy::restoreState(Source &src)
 {
-    ReplacementPolicy::restoreState(src);
-    for (auto &gen : gens_)
-        gen.restoreState(src);
-    minSeq_ = src.u64();
-    maxSeq_ = src.u64();
-    resident_ = src.u64();
-    filters_[0].restoreState(src);
-    filters_[1].restoreState(src);
-    activeFilter_ = src.u32();
-    filterWarm_ = src.boolean();
-    pid_.restoreState(src);
-    mgStats_.genCreations = src.u64();
-    mgStats_.genCreationBlocked = src.u64();
-    mgStats_.bloomInsertions = src.u64();
-    mgStats_.neighborScans = src.u64();
-    mgStats_.neighborPromotions = src.u64();
-    mgStats_.tierProtected = src.u64();
-    mgStats_.staleRefaults = src.u64();
-    mgStats_.lateGenCreations = src.u64();
-    starvedRounds_ = src.u32();
-    evictedAtLastAge_ = src.u64();
-    lastPassNs_ = src.u64();
-    walk_.active = src.boolean();
-    walk_.spaceIdx = src.u64();
-    walk_.region = src.u64();
-    walk_.canInc = src.boolean();
-    walk_.promoteSeq = src.u64();
-    rng_.restoreState(src);
+    state(*this, src);
 }
 
 void

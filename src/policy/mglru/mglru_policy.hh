@@ -251,6 +251,10 @@ class MgLruPolicy : public ReplacementPolicy
     void saveState(Sink &sink) const override;
     void restoreState(Source &src) override;
 
+    /** Defined (and instantiated) in mglru_policy.cc. */
+    template <class Self, class Ar>
+    static void state(Self &self, Ar &ar);
+
   private:
     FrameList &genList(std::uint64_t seq);
     const FrameList &genList(std::uint64_t seq) const;
@@ -305,13 +309,10 @@ class MgLruPolicy : public ReplacementPolicy
 
     FrameTable &frames_;
     std::vector<AddressSpace *> spaces_;
-    // lint:state-cov-ok(cost table fixed at construction from the validated config)
-    MmCosts costs_;
+    const MmCosts costs_;
     Rng rng_;
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
-    MgLruConfig config_;
-    // lint:state-cov-ok(display name fixed at construction)
-    std::string name_;
+    const MgLruConfig config_;
+    const std::string name_;
 
     std::vector<FrameList> gens_;
     std::uint64_t minSeq_ = 0;
@@ -346,8 +347,7 @@ class MgLruPolicy : public ReplacementPolicy
     WalkState walk_;
 
     /** Resolved harvest worker count (>= 1; 1 = inline, no threads). */
-    // lint:state-cov-ok(resolved worker count, a pure function of config and hardware)
-    unsigned scanWorkers_ = 1;
+    const unsigned scanWorkers_;
     /** Slice scratch, reused across slices to avoid reallocation. */
     // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every sharded walk)
     std::vector<ScanChunk> chunkScratch_;

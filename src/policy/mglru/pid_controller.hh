@@ -71,38 +71,24 @@ class TierPidController
     std::uint64_t refaults(unsigned tier) const;
 
     /** Checkpoint the full controller state. */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
         for (unsigned t = 0; t < kMaxTiers; ++t) {
-            sink.f64(evictions_[t]);
-            sink.f64(refaults_[t]);
-            sink.f64(integral_[t]);
-            sink.f64(prevError_[t]);
-            sink.f64(output_[t]);
-            sink.u64(rawEvictions_[t]);
-            sink.u64(rawRefaults_[t]);
-        }
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        for (unsigned t = 0; t < kMaxTiers; ++t) {
-            evictions_[t] = src.f64();
-            refaults_[t] = src.f64();
-            integral_[t] = src.f64();
-            prevError_[t] = src.f64();
-            output_[t] = src.f64();
-            rawEvictions_[t] = src.u64();
-            rawRefaults_[t] = src.u64();
+            ar.f64(self.evictions_[t]);
+            ar.f64(self.refaults_[t]);
+            ar.f64(self.integral_[t]);
+            ar.f64(self.prevError_[t]);
+            ar.f64(self.output_[t]);
+            ar.u64(self.rawEvictions_[t]);
+            ar.u64(self.rawRefaults_[t]);
         }
     }
 
   private:
-    // lint:state-cov-ok(controller gains fixed at construction; only the error state moves)
-    PidConfig config_;
+    /** Controller gains: only the error state moves. */
+    const PidConfig config_;
     std::array<double, kMaxTiers> evictions_{};
     std::array<double, kMaxTiers> refaults_{};
     std::array<double, kMaxTiers> integral_{};

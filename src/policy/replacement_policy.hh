@@ -117,38 +117,27 @@ class ReplacementPolicy
      * Checkpoint the policy's lruvec state. The base captures the
      * common counters; concrete policies append their classification
      * state (list anchors, generations, filters, PID state, ...) after
-     * calling the base. Frame-side membership (listId/gen/tier lanes,
-     * intrusive links) lives in the FrameTable and is captured there.
+     * calling the base's state body, and override both forwarders.
+     * Frame-side membership (listId/gen/tier lanes, intrusive links)
+     * lives in the FrameTable and is captured there.
      */
-    virtual void
-    saveState(Sink &sink) const
-    {
-        sink.u64(stats_.ptesScanned);
-        sink.u64(stats_.regionsVisited);
-        sink.u64(stats_.regionsSkipped);
-        sink.u64(stats_.rmapWalks);
-        sink.u64(stats_.promotions);
-        sink.u64(stats_.demotions);
-        sink.u64(stats_.agingPasses);
-        sink.u64(stats_.evicted);
-        sink.u64(stats_.refaults);
-        sink.u64(stats_.secondChances);
-    }
+    virtual void saveState(Sink &sink) const { state(*this, sink); }
+    virtual void restoreState(Source &src) { state(*this, src); }
 
-    /** Restore state captured by saveState(). */
-    virtual void
-    restoreState(Source &src)
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        stats_.ptesScanned = src.u64();
-        stats_.regionsVisited = src.u64();
-        stats_.regionsSkipped = src.u64();
-        stats_.rmapWalks = src.u64();
-        stats_.promotions = src.u64();
-        stats_.demotions = src.u64();
-        stats_.agingPasses = src.u64();
-        stats_.evicted = src.u64();
-        stats_.refaults = src.u64();
-        stats_.secondChances = src.u64();
+        ar.u64(self.stats_.ptesScanned);
+        ar.u64(self.stats_.regionsVisited);
+        ar.u64(self.stats_.regionsSkipped);
+        ar.u64(self.stats_.rmapWalks);
+        ar.u64(self.stats_.promotions);
+        ar.u64(self.stats_.demotions);
+        ar.u64(self.stats_.agingPasses);
+        ar.u64(self.stats_.evicted);
+        ar.u64(self.stats_.refaults);
+        ar.u64(self.stats_.secondChances);
     }
 
   protected:

@@ -94,32 +94,6 @@ SimActor::wake()
 }
 
 void
-SimActor::saveState(Sink &sink) const
-{
-    sink.u8(static_cast<std::uint8_t>(state_));
-    sink.u64(cpuWork_);
-    sink.u64(blockedTime_);
-    sink.u64(blockedSince_);
-    sink.u64(pendingAt_);
-    sink.u64(pendingSeq_);
-}
-
-void
-SimActor::restoreState(Source &src)
-{
-    // A restore target is built fresh and never started: foreground
-    // registration and the CPU model's runnable count are restored
-    // wholesale by Simulation::restoreState, not re-derived here.
-    assert(state_ == State::Created);
-    state_ = static_cast<State>(src.u8());
-    cpuWork_ = src.u64();
-    blockedTime_ = src.u64();
-    blockedSince_ = src.u64();
-    pendingAt_ = src.u64();
-    pendingSeq_ = src.u64();
-}
-
-void
 SimActor::reschedulePending()
 {
     if (state_ == State::Runnable) {

@@ -23,6 +23,7 @@
 #ifndef PAGESIM_SIM_ACTOR_HH
 #define PAGESIM_SIM_ACTOR_HH
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -66,7 +67,6 @@ class SimActor
     /** Wake a blocked or sleeping actor; no-op in other states. */
     void wake();
 
-    State state() const { return state_; }
     bool finished() const { return state_ == State::Finished; }
     const std::string &name() const { return name_; }
 
@@ -110,18 +110,38 @@ class SimActor
      * quiescent point is at most ONE pending event: the step dispatch
      * of a Runnable actor or the wake timer of a Sleeping one (Blocked
      * actors wait on an external wake; Created/Finished have nothing).
-     * saveState() captures the scalar state plus that event's (when,
-     * seq); after the checkpoint machinery restores the clock it calls
+     * state() captures the scalar state plus that event's (when, seq);
+     * after the checkpoint machinery restores the clock it calls
      * reschedulePending() on each actor in ascending (when, seq) order,
      * which re-creates the closures with fresh epochs/sequence numbers
-     * while preserving the dispatch-order relation.
+     * while preserving the dispatch-order relation. Subclasses append
+     * their own fields after SimActor::state and override both
+     * forwarders.
      */
-    virtual void saveState(Sink &sink) const;
+    virtual void saveState(Sink &sink) const { state(*this, sink); }
+    virtual void restoreState(Source &src) { state(*this, src); }
 
-    /** Restore state captured by saveState(); actor must be Created. */
-    virtual void restoreState(Source &src);
+    /**
+     * Scalar state. A restore target is built fresh and never started
+     * (it must still be Created): foreground registration and the CPU
+     * model's runnable count are restored wholesale by Simulation,
+     * not re-derived here.
+     */
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
+    {
+        if constexpr (Ar::kLoading)
+            assert(self.state_ == State::Created);
+        ar.enum8(self.state_, State::Finished);
+        ar.u64(self.cpuWork_);
+        ar.u64(self.blockedTime_);
+        ar.u64(self.blockedSince_);
+        ar.u64(self.pendingAt_);
+        ar.u64(self.pendingSeq_);
+    }
 
-    /** True when this actor owns a pending event (see saveState). */
+    /** True when this actor owns a pending event (see state()). */
     bool
     hasPendingEvent() const
     {
@@ -164,10 +184,9 @@ class SimActor
     void scheduleStep(SimTime when);
 
     Simulation &sim_;
-    // lint:state-cov-ok(actor identity fixed at construction)
-    std::string name_;
-    // lint:state-cov-ok(registration flag fixed at construction; the CPU-model count is restored by Simulation)
-    bool foreground_;
+    const std::string name_;
+    /** The CPU-model count it registers is restored by Simulation. */
+    const bool foreground_;
     State state_ = State::Created;
     SimDuration cpuWork_ = 0;
     SimDuration blockedTime_ = 0;

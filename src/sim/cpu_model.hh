@@ -91,26 +91,17 @@ class CpuModel
      * Checkpoint the mutable load state. Restore overwrites the
      * counters wholesale: a rebuilt-for-restore simulation constructs
      * every actor without starting it, so runnable_ is zero at the
-     * time restoreState() runs and no onRunnable/onBlocked
+     * time the state is loaded and no onRunnable/onBlocked
      * compensation is needed.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.u32(runnable_);
-        sink.u32(peakRunnable_);
-        sink.u64(lastChange_);
-        sink.f64(runnableTimeProduct_);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        runnable_ = src.u32();
-        peakRunnable_ = src.u32();
-        lastChange_ = src.u64();
-        runnableTimeProduct_ = src.f64();
+        ar.u32(self.runnable_);
+        ar.u32(self.peakRunnable_);
+        ar.u64(self.lastChange_);
+        ar.f64(self.runnableTimeProduct_);
     }
 
   private:
@@ -123,8 +114,8 @@ class CpuModel
         lastChange_ = now;
     }
 
-    // lint:state-cov-ok(machine shape fixed at construction from the validated config)
-    unsigned numCpus_;
+    const unsigned numCpus_;
+
     unsigned runnable_ = 0;
     unsigned peakRunnable_ = 0;
     SimTime lastChange_ = 0;

@@ -167,7 +167,7 @@ ZipfianGenerator::zeta(std::uint64_t n, double theta)
 }
 
 std::uint64_t
-ZipfianGenerator::next(Rng &rng)
+ZipfianGenerator::next(Rng &rng) const
 {
     const double u = rng.nextDouble();
     const double uz = u * zetan_;

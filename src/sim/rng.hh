@@ -75,24 +75,16 @@ class Rng
     }
 
     /** Checkpoint the full generator state (see sim/serialize.hh). */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        for (const std::uint64_t s : s_)
-            sink.u64(s);
-        sink.boolean(haveSpareNormal_);
-        sink.f64(spareNormal_);
+        for (auto &s : self.s_)
+            ar.u64(s);
+        ar.boolean(self.haveSpareNormal_);
+        ar.f64(self.spareNormal_);
     }
 
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        for (std::uint64_t &s : s_)
-            s = src.u64();
-        haveSpareNormal_ = src.boolean();
-        spareNormal_ = src.f64();
-    }
 
   private:
     std::uint64_t s_[4];
@@ -123,7 +115,7 @@ class ZipfianGenerator
                      bool scrambled = true);
 
     /** Draw the next item index in [0, n). */
-    std::uint64_t next(Rng &rng);
+    std::uint64_t next(Rng &rng) const;
 
     std::uint64_t itemCount() const { return n_; }
     double theta() const { return theta_; }

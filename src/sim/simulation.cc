@@ -39,18 +39,4 @@ Simulation::runToCompletion(std::uint64_t max_events)
     return foreground_ == 0;
 }
 
-void
-Simulation::saveState(Sink &sink) const
-{
-    sink.u32(foreground_);
-    cpus_.saveState(sink);
-}
-
-void
-Simulation::restoreState(Source &src)
-{
-    foreground_ = src.u32();
-    cpus_.restoreState(src);
-}
-
 } // namespace pagesim

@@ -72,20 +72,23 @@ class Simulation
      * events). root_ is NOT captured: every component forks its streams
      * during construction, which a restore replays identically.
      */
-    void saveState(Sink &sink) const;
-
-    /** Restore state captured by saveState(). */
-    void restoreState(Source &src);
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
+    {
+        ar.u32(self.foreground_);
+        CpuModel::state(self.cpus_, ar);
+    }
 
   private:
     // lint:state-cov-ok(clock restored via restoreClock and pending events re-inserted by the checkpoint machinery)
     EventQueue events_;
     CpuModel cpus_;
-    // lint:state-cov-ok(fork-only root stream: components re-fork identical child streams during rig construction)
-    Rng root_;
-    // lint:state-cov-ok(construction parameter covered by the checkpoint config hash)
-    std::uint64_t seed_;
+    /** Fork-only: components re-fork identical child streams. */
+    const Rng root_;
+    const std::uint64_t seed_;
     unsigned foreground_ = 0;
+
 };
 
 } // namespace pagesim

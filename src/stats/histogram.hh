@@ -76,26 +76,19 @@ class LatencyHistogram
     std::uint64_t p9999() const { return quantile(0.9999); }
 
     /** Checkpoint the recorded distribution (geometry is ctor state). */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.podVec(counts_);
-        sink.u64(count_);
-        sink.u64(max_);
-        sink.u64(min_);
-        sink.f64(sum_);
+        ar.podVec(self.counts_);
+        ar.u64(self.count_);
+        ar.u64(self.max_);
+        ar.u64(self.min_);
+        ar.f64(self.sum_);
     }
 
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        src.podVec(counts_);
-        count_ = src.u64();
-        max_ = src.u64();
-        min_ = src.u64();
-        sum_ = src.f64();
-    }
+    /** The state as bytes, for callers that digest a histogram. */
+    void saveState(Sink &sink) const { state(*this, sink); }
 
   private:
     std::size_t

@@ -100,29 +100,4 @@ SsdSwapDevice::complete(Request req)
     req.cb();
 }
 
-void
-SsdSwapDevice::saveState(Sink &sink) const
-{
-    assert(quiescent() && "SSD checkpoint requires an idle device");
-    SwapDevice::saveState(sink);
-    // GC state is lazy (evaluated at submit time, no scheduled
-    // events), so plain values plus the device RNG capture it fully.
-    rng_.saveState(sink);
-    sink.u64(gcUntil_);
-    sink.u64(nextGcAt_);
-    sink.boolean(gcScheduled_);
-    sink.u64(gcEpisodes_);
-}
-
-void
-SsdSwapDevice::restoreState(Source &src)
-{
-    SwapDevice::restoreState(src);
-    rng_.restoreState(src);
-    gcUntil_ = src.u64();
-    nextGcAt_ = src.u64();
-    gcScheduled_ = src.boolean();
-    gcEpisodes_ = src.u64();
-}
-
 } // namespace pagesim

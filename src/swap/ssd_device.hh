@@ -12,6 +12,7 @@
 #ifndef PAGESIM_SWAP_SSD_DEVICE_HH
 #define PAGESIM_SWAP_SSD_DEVICE_HH
 
+#include <cassert>
 #include <deque>
 #include <string>
 
@@ -88,8 +89,27 @@ class SsdSwapDevice : public SwapDevice
         return inFlight_ == 0 && queue_.empty();
     }
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
+
+    /**
+     * GC state is lazy (evaluated at submit time, no scheduled
+     * events), so plain values plus the device RNG capture it fully.
+     */
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
+    {
+        if constexpr (!Ar::kLoading)
+            assert(self.quiescent() &&
+                   "SSD checkpoint requires an idle device");
+        SwapDevice::state(self, ar);
+        Rng::state(self.rng_, ar);
+        ar.u64(self.gcUntil_);
+        ar.u64(self.nextGcAt_);
+        ar.boolean(self.gcScheduled_);
+        ar.u64(self.gcEpisodes_);
+    }
 
   private:
     struct Request
@@ -109,13 +129,11 @@ class SsdSwapDevice : public SwapDevice
 
     EventQueue &events_;
     Rng rng_;
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
-    SsdConfig config_;
-    // lint:state-cov-ok(display name fixed at construction)
-    std::string name_ = "ssd";
-    // lint:state-cov-ok(zero at checkpoint: saveState asserts the device is quiescent)
+    const SsdConfig config_;
+    const std::string name_ = "ssd";
+    // lint:state-cov-ok(zero at checkpoint: saving asserts the device is quiescent)
     unsigned inFlight_ = 0;
-    // lint:state-cov-ok(empty at checkpoint: saveState asserts the device is quiescent)
+    // lint:state-cov-ok(empty at checkpoint: saving asserts the device is quiescent)
     std::deque<Request> queue_;
     /** GC state: degraded until gcUntil_, next episode at nextGcAt_. */
     SimTime gcUntil_ = 0;

@@ -105,33 +105,24 @@ class SwapDevice
 
     /**
      * Checkpoint the device state. The base captures the op counters;
-     * subclasses append their own fields after calling the base. Only
-     * valid at a quiescent() point — completion callbacks cannot be
-     * serialized.
+     * subclasses append their own fields after calling the base's
+     * state body, and override both forwarders. Only valid at a
+     * quiescent() point — completion callbacks cannot be serialized.
      */
-    virtual void
-    saveState(Sink &sink) const
-    {
-        sink.u64(stats_.reads);
-        sink.u64(stats_.writes);
-        sink.u64(stats_.totalReadLatency);
-        sink.u64(stats_.totalWriteLatency);
-        sink.u64(stats_.peakQueueDepth);
-        sink.u64(lastQueueWait_);
-        sink.u64(lastService_);
-    }
+    virtual void saveState(Sink &sink) const { state(*this, sink); }
+    virtual void restoreState(Source &src) { state(*this, src); }
 
-    /** Restore state captured by saveState(). */
-    virtual void
-    restoreState(Source &src)
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        stats_.reads = src.u64();
-        stats_.writes = src.u64();
-        stats_.totalReadLatency = src.u64();
-        stats_.totalWriteLatency = src.u64();
-        stats_.peakQueueDepth = src.u64();
-        lastQueueWait_ = src.u64();
-        lastService_ = src.u64();
+        ar.u64(self.stats_.reads);
+        ar.u64(self.stats_.writes);
+        ar.u64(self.stats_.totalReadLatency);
+        ar.u64(self.stats_.totalWriteLatency);
+        ar.u64(self.stats_.peakQueueDepth);
+        ar.u64(self.lastQueueWait_);
+        ar.u64(self.lastService_);
     }
 
   protected:

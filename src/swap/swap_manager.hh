@@ -113,30 +113,20 @@ class SwapManager
      * list is captured verbatim: its LIFO order decides which slot
      * the next allocation returns.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.u32(nextSlot_);
-        sink.u32(used_);
-        sink.podVec(freeSlots_);
-        device_->saveState(sink);
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        nextSlot_ = src.u32();
-        used_ = src.u32();
-        src.podVec(freeSlots_);
-        device_->restoreState(src);
+        ar.u32(self.nextSlot_);
+        ar.u32(self.used_);
+        ar.podVec(self.freeSlots_);
+        virtualState(*self.device_, ar);
     }
 
   private:
     SwapDevice *device_;
     ZramSwapDevice *zram_ = nullptr;
-    // lint:state-cov-ok(capacity fixed at construction from the validated config)
-    std::uint32_t maxSlots_;
+    const std::uint32_t maxSlots_;
     std::uint32_t nextSlot_ = 0;
     std::uint32_t used_ = 0;
     std::vector<SwapSlot> freeSlots_;

@@ -107,40 +107,4 @@ ZramSwapDevice::noteSyncOp(SwapSlot, bool is_write)
         ++stats_.reads;
 }
 
-void
-ZramSwapDevice::saveState(Sink &sink) const
-{
-    SwapDevice::saveState(sink);
-    // The tag map is unordered; emit entries sorted by slot so the
-    // byte stream (and its fingerprint) is deterministic.
-    std::vector<std::pair<SwapSlot, std::uint64_t>> entries(
-        slotTag_.begin(), slotTag_.end());
-    std::sort(entries.begin(), entries.end());
-    sink.u64(entries.size());
-    for (const auto &[slot, tag] : entries) {
-        sink.u32(slot);
-        sink.u64(tag);
-    }
-    sink.u64(poolBytes_);
-    sink.u64(poolPeakBytes_);
-    sink.u64(overflows_);
-}
-
-void
-ZramSwapDevice::restoreState(Source &src)
-{
-    SwapDevice::restoreState(src);
-    slotTag_.clear();
-    const std::uint64_t n = src.u64();
-    slotTag_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n && src.ok(); ++i) {
-        const SwapSlot slot = src.u32();
-        const std::uint64_t tag = src.u64();
-        slotTag_[slot] = tag;
-    }
-    poolBytes_ = src.u64();
-    poolPeakBytes_ = src.u64();
-    overflows_ = src.u64();
-}
-
 } // namespace pagesim

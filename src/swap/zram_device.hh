@@ -19,9 +19,12 @@
 #ifndef PAGESIM_SWAP_ZRAM_DEVICE_HH
 #define PAGESIM_SWAP_ZRAM_DEVICE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "sim/rng.hh"
 #include "swap/swap_device.hh"
@@ -108,17 +111,44 @@ class ZramSwapDevice : public SwapDevice
     /** Recompute pool occupancy from the tag map (must == poolBytes). */
     std::uint64_t auditPoolBytes() const;
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
+
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
+    {
+        SwapDevice::state(self, ar);
+        // The tag map is unordered; it travels as entries sorted by
+        // slot so the byte stream (and its fingerprint) is
+        // deterministic.
+        std::vector<std::pair<SwapSlot, std::uint64_t>> entries;
+        if constexpr (!Ar::kLoading) {
+            entries.assign(self.slotTag_.begin(), self.slotTag_.end());
+            std::sort(entries.begin(), entries.end());
+        }
+        ar.records(entries, [&ar](auto &e) {
+            ar.u32(e.first);
+            ar.u64(e.second);
+        });
+        if constexpr (Ar::kLoading) {
+            self.slotTag_.clear();
+            self.slotTag_.reserve(entries.size());
+            for (const auto &[slot, tag] : entries)
+                self.slotTag_[slot] = tag;
+        }
+        ar.u64(self.poolBytes_);
+        ar.u64(self.poolPeakBytes_);
+        ar.u64(self.overflows_);
+    }
 
   private:
-    // lint:state-cov-ok(construction parameter; the restore rig is rebuilt from the same validated config)
-    ZramConfig config_;
-    // lint:state-cov-ok(display name fixed at construction)
-    std::string name_ = "zram";
+    const ZramConfig config_;
+    const std::string name_ = "zram";
     /** slot -> content tag (present while slot holds data). */
-    // lint:ordered-ok(hot-path point lookups only; the sole iteration,
-    // auditPoolBytes, is an order-independent integer sum)
+    // lint:ordered-ok(hot-path point lookups only; auditPoolBytes'
+    // iteration is an order-independent integer sum, and state() sorts
+    // the entries by slot before they are written)
     std::unordered_map<SwapSlot, std::uint64_t> slotTag_;
     std::uint64_t poolBytes_ = 0;
     std::uint64_t poolPeakBytes_ = 0;

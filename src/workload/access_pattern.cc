@@ -24,7 +24,7 @@ bool
 PatternStream::next(Op &op)
 {
     while (index_ < segments_.size()) {
-        Segment &seg = segments_[index_];
+        const Segment &seg = segments_[index_];
 
         if (auto *seq = std::get_if<SeqTouch>(&seg)) {
             if (emitted_ >= seq->count) {

@@ -98,42 +98,41 @@ class PatternStream : public OpStream
 
     bool next(Op &op) override;
 
-    void
-    saveState(Sink &sink) const override
-    {
-        sink.u64(index_);
-        sink.u64(emitted_);
-        sink.boolean(rng_.has_value());
-        if (rng_)
-            rng_->saveState(sink);
-        // zipf_ is pure function-of-segment state: rebuilt lazily on
-        // the next draw, consuming no RNG values at construction.
-    }
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
 
-    void
-    restoreState(Source &src) override
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        index_ = src.u64();
-        emitted_ = src.u64();
-        if (src.boolean()) {
-            rng_.emplace(std::uint64_t{1});
-            rng_->restoreState(src);
-        } else {
-            rng_.reset();
+        ar.u64(self.index_);
+        ar.u64(self.emitted_);
+        bool haveRng = self.rng_.has_value();
+        ar.boolean(haveRng);
+        if constexpr (Ar::kLoading) {
+            if (haveRng)
+                self.rng_.emplace(std::uint64_t{1});
+            else
+                self.rng_.reset();
+            // zipf_ is pure function-of-segment state: rebuilt lazily
+            // on the next draw, consuming no RNG values.
+            self.zipf_.reset();
         }
-        zipf_.reset();
+        if (haveRng)
+            Rng::state(*self.rng_, ar);
     }
 
   private:
     bool advanceSegment();
 
-    // lint:state-cov-ok(segment list is the construction input, replayed from the workload spec)
-    std::vector<Segment> segments_;
+    /** The construction input, replayed from the workload spec. */
+    const std::vector<Segment> segments_;
     std::size_t index_ = 0;
     std::uint64_t emitted_ = 0;
     /** Lazily built generator state for the current RandTouch. */
     std::optional<Rng> rng_;
-    // lint:state-cov-ok(pure function of the current segment, rebuilt lazily; restoreState resets it)
+    /** Pure function of the current segment: rebuilt lazily after a
+     *  load resets it. */
     std::unique_ptr<ZipfianGenerator> zipf_;
 };
 

@@ -12,7 +12,6 @@
 #define PAGESIM_WORKLOAD_BARRIER_HH
 
 #include <cassert>
-#include <functional>
 #include <vector>
 
 #include "sim/actor.hh"
@@ -61,40 +60,22 @@ class SimBarrier
     }
 
     /**
-     * Checkpoint the barrier, mapping each waiting actor to a stable
-     * index via @p index_of (waiters are stored in arrival order,
-     * which the restore side must preserve — wake order depends on
-     * it).
+     * Checkpoint the barrier, mapping each waiting actor to its id in
+     * @p actors (waiters are stored in arrival order, which a load
+     * preserves — wake order depends on it).
      */
-    void
-    saveState(Sink &sink,
-              const std::function<std::uint32_t(const SimActor &)>
-                  &index_of) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar, const RefTable<SimActor> &actors)
     {
-        sink.u32(arrived_);
-        sink.u64(generation_);
-        sink.u64(waiting_.size());
-        for (const SimActor *actor : waiting_)
-            sink.u32(index_of(*actor));
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src,
-                 const std::function<SimActor &(std::uint32_t)>
-                     &actor_at)
-    {
-        arrived_ = src.u32();
-        generation_ = src.u64();
-        waiting_.clear();
-        const std::uint64_t n = src.u64();
-        for (std::uint64_t i = 0; i < n && src.ok(); ++i)
-            waiting_.push_back(&actor_at(src.u32()));
+        ar.u32(self.arrived_);
+        ar.u64(self.generation_);
+        ar.records(self.waiting_,
+                   [&](auto &actor) { ar.ref(actor, actors); });
     }
 
   private:
-    // lint:state-cov-ok(party count fixed at construction from the thread config)
-    unsigned parties_;
+    const unsigned parties_;
     unsigned arrived_ = 0;
     std::uint64_t generation_ = 0;
     std::vector<SimActor *> waiting_;

@@ -111,25 +111,15 @@ struct Op
      * indeterminate after the makeX() builders, so raw-byte capture
      * would poison checkpoint fingerprints.
      */
-    void
-    saveState(Sink &sink) const
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        sink.u8(static_cast<std::uint8_t>(kind));
-        sink.boolean(write);
-        sink.u32(id);
-        sink.u64(vpn);
-        sink.u64(static_cast<std::uint64_t>(compute));
-    }
-
-    /** Restore state captured by saveState(). */
-    void
-    restoreState(Source &src)
-    {
-        kind = static_cast<Kind>(src.u8());
-        write = src.boolean();
-        id = src.u32();
-        vpn = src.u64();
-        compute = static_cast<SimDuration>(src.u64());
+        ar.enum8(self.kind, Kind::Phase);
+        ar.boolean(self.write);
+        ar.u32(self.id);
+        ar.u64(self.vpn);
+        ar.u64(self.compute);
     }
 };
 

@@ -51,34 +51,23 @@ class WorkThread : public SimActor
     unsigned tid() const { return tid_; }
     const WorkThreadStats &threadStats() const { return tstats_; }
 
-    void
-    saveState(Sink &sink) const override
-    {
-        SimActor::saveState(sink);
-        pending_.saveState(sink);
-        sink.boolean(havePending_);
-        sink.u64(carry_);
-        sink.u64(requestStart_);
-        sink.u64(tstats_.touches);
-        sink.u64(tstats_.blockedFaults);
-        sink.u64(tstats_.barriersPassed);
-        sink.u64(tstats_.finishTime);
-        stream_->saveState(sink);
-    }
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
 
-    void
-    restoreState(Source &src) override
+    template <class Self, class Ar>
+    static void
+    state(Self &self, Ar &ar)
     {
-        SimActor::restoreState(src);
-        pending_.restoreState(src);
-        havePending_ = src.boolean();
-        carry_ = src.u64();
-        requestStart_ = src.u64();
-        tstats_.touches = src.u64();
-        tstats_.blockedFaults = src.u64();
-        tstats_.barriersPassed = src.u64();
-        tstats_.finishTime = src.u64();
-        stream_->restoreState(src);
+        SimActor::state(self, ar);
+        Op::state(self.pending_, ar);
+        ar.boolean(self.havePending_);
+        ar.u64(self.carry_);
+        ar.u64(self.requestStart_);
+        ar.u64(self.tstats_.touches);
+        ar.u64(self.tstats_.blockedFaults);
+        ar.u64(self.tstats_.barriersPassed);
+        ar.u64(self.tstats_.finishTime);
+        virtualState(*self.stream_, ar);
     }
 
   protected:
@@ -91,8 +80,7 @@ class WorkThread : public SimActor
     MemoryManager &mm_;
     Workload &workload_;
     AddressSpace &space_;
-    // lint:state-cov-ok(thread identity fixed at construction)
-    unsigned tid_;
+    const unsigned tid_;
     std::unique_ptr<OpStream> stream_;
 
     Op pending_{};

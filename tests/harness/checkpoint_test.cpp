@@ -32,6 +32,7 @@
 #include "harness/sweep.hh"
 #include "harness/trial_rig.hh"
 #include "kernel/memory_manager.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -546,7 +547,13 @@ TEST(CheckpointCorruption, FileRoundTripAndDiskErrors)
     const std::string path =
         ::testing::TempDir() + "pagesim-ckpt-roundtrip-" +
         std::to_string(::getpid()) + ".bin";
+    // Another writer's half-written temp file (a directory stands in
+    // for it) must not make this save fail: processes sharing a
+    // checkpoint directory never reuse each other's temp names.
+    const std::string foreign_tmp = path + ".tmp0";
+    std::filesystem::create_directory(foreign_tmp);
     ASSERT_TRUE(saveCheckpointFile(path, good).ok());
+    std::filesystem::remove(foreign_tmp);
 
     Checkpoint loaded;
     const CheckpointError err = loadCheckpointFile(path, loaded);
@@ -575,6 +582,76 @@ TEST(CheckpointCorruption, FileRoundTripAndDiskErrors)
                   .kind,
               CheckpointError::Kind::Io);
     std::remove(path.c_str());
+}
+
+/** Little-endian unsigned integer of @p width bytes at @p at. */
+std::uint64_t
+readLe(const std::vector<std::uint8_t> &b, std::size_t at, int width)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i)
+        v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
+    return v;
+}
+
+/**
+ * Payload offset and length of section @p name in image @p b; the
+ * section's fingerprint is the u64 just before the payload.
+ */
+std::size_t
+sectionPayload(const std::vector<std::uint8_t> &b, const std::string &name,
+               std::uint64_t &len)
+{
+    // Header: magic u64, version u32, hash/seed/when/refs u64 each,
+    // then the u32 section count.
+    std::size_t off = 44;
+    const std::uint64_t count = readLe(b, off, 4);
+    off += 4;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t name_len = readLe(b, off, 4);
+        off += 4;
+        const std::string sec(b.begin() + off, b.begin() + off + name_len);
+        off += name_len;
+        len = readLe(b, off, 8);
+        off += 16; // payload length, fingerprint
+        if (sec == name)
+            return off;
+        off += len;
+    }
+    ADD_FAILURE() << "image has no section '" << name << "'";
+    return 0;
+}
+
+TEST(CheckpointCorruption, OutOfRangeEnumIsADecodeError)
+{
+    // A section whose bytes were edited and re-fingerprinted passes
+    // every parse-time check, so a value's range is the state body's
+    // to check: an actor state byte past the last enumerator must
+    // fail the restore instead of loading an invalid state.
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const TrialResult straight = runTrial(cfg, seed);
+    cfg.checkpointAt = straight.totalTouches / 2;
+    Checkpoint bad = captureAtBoundary(cfg, seed);
+
+    std::uint64_t len = 0;
+    const std::size_t payload = sectionPayload(bad.bytes, "actors", len);
+    ASSERT_GT(len, 13u);
+    // Actors payload: u32 count, then per actor a u64 record length
+    // and the record, whose first byte is SimActor's state.
+    bad.bytes[payload + 4 + 8] = 0xFF;
+    const std::uint64_t fp = fnv1a(&bad.bytes[payload], len);
+    for (int i = 0; i < 8; ++i)
+        bad.bytes[payload - 8 + i] =
+            static_cast<std::uint8_t>(fp >> (8 * i));
+
+    TrialRig rig(cfg, seed, TrialRigOptions{/*forRestore=*/true});
+    const CheckpointError err =
+        restoreCheckpoint(rig.view(), configPrefixHash(cfg), seed, bad);
+    EXPECT_FALSE(err.ok());
+    EXPECT_EQ(err.kind, CheckpointError::Kind::Unsupported)
+        << err.message;
 }
 
 TEST(CheckpointCorruption, CaptureRefusedOffQuiescentPoint)

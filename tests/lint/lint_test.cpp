@@ -205,41 +205,23 @@ TEST(LintStateCov, FlagsEveryDriftDirection)
 {
     const LintResult r = lintTree("statecov_bad");
     EXPECT_FALSE(r.configError);
-    // added_ (neither body), saveOnly_ (missing from restore),
-    // restoreOnly_ (missing from save), SnapHalf (no restoreState
-    // body at all) — and nothing for covered_ or stale_.
-    EXPECT_EQ(countUnwaived(r, "state-cov"), 4);
+    // Save and restore share one state body, so the one direction
+    // left is a field in no state body: added_ — and nothing for
+    // covered_, stale_, or Holder (whose state() is an accessor).
+    EXPECT_EQ(countUnwaived(r, "state-cov"), 1);
     EXPECT_TRUE(hasFatalFindings(r));
     const Finding *f = findRule(r, "state-cov");
     ASSERT_NE(f, nullptr);
     EXPECT_EQ(f->file, "src/sim/drift.hh");
     EXPECT_NE(f->message.find("added_"), std::string::npos);
-    EXPECT_NE(f->message.find("saveState or restoreState"),
+    EXPECT_NE(f->message.find("not referenced in its state body"),
               std::string::npos);
-}
-
-TEST(LintStateCov, MissingRestoreStateIsItsOwnFinding)
-{
-    const LintResult r = lintTree("statecov_bad");
-    int classLevel = 0;
-    for (const Finding &f : r.findings) {
-        if (f.rule == "state-cov" &&
-            f.message.find("SnapHalf") != std::string::npos) {
-            ++classLevel;
-            EXPECT_NE(f.message.find("no restoreState"),
-                      std::string::npos);
-            EXPECT_FALSE(f.waived);
-        }
-    }
-    // One class-level finding; x_ itself is covered by saveState and
-    // exempt from the restore check while no restore body exists.
-    EXPECT_EQ(classLevel, 1);
 }
 
 TEST(LintStateCov, StaleWaiverOnSerializedFieldSurfaces)
 {
     const LintResult r = lintTree("statecov_bad");
-    // The waiver on stale_ (which IS serialized in both bodies)
+    // The waiver on stale_ (which IS serialized in the state body)
     // matches no finding and must be reported, not silently eaten.
     EXPECT_EQ(countUnwaived(r, "lint-unused-waiver"), 1);
     // The waiver on waived_ works and keeps its reason.
@@ -257,9 +239,10 @@ TEST(LintStateCov, CoveredExemptAndWaivedFieldsPass)
     const LintResult r = lintTree("statecov_good");
     EXPECT_FALSE(r.configError);
     EXPECT_FALSE(hasFatalFindings(r));
-    // hot_ is covered through the writeHot/readHot helpers; the
-    // pointer, const, and callback members are exempt wiring; only
-    // the waived cache_ is reported at all.
+    // hot_ is covered through the hotState helper and cursor_ by an
+    // out-of-line state body; the pointer, reference, const,
+    // callback, and mutable members are exempt wiring; only the
+    // waived cache_ is reported at all.
     EXPECT_EQ(countRule(r, "state-cov"), 1);
     EXPECT_EQ(countUnwaived(r, "state-cov"), 0);
     EXPECT_EQ(countRule(r, "lint-unused-waiver"), 0);

@@ -15,8 +15,8 @@
  *  charge-pairing (charge-*) device submit/service calls charge a
  *                          cost in the same function body
  *  state-coverage (state-cov) every non-static data member of a class
- *                          that defines saveState must be referenced
- *                          in its saveState AND restoreState bodies
+ *                          with a state() body must be referenced in
+ *                          that body, which saving and restoring share
  *  parallel-safety (par-safety) lambdas passed to parallelFor may
  *                          write only chunk-local state (locals,
  *                          [chunk]-subscripted slots) — the

@@ -431,7 +431,11 @@ parseMember(const SourceFile &sf, const std::string &klass,
 {
     const std::vector<Token> &toks = sf.lex.tokens;
     std::size_t i = s;
+    // No static/template data member is a field; member function
+    // bodies are recorded either way (a checkpointable class's state
+    // body is a static member template), but not a friend's.
     bool suppress = false; // static / using / friend / operator / ...
+    bool isFriend = false;
 
     if (identIs(toks[i], "template") && i + 1 < close &&
         punctIs(toks[i + 1], "<")) {
@@ -439,7 +443,7 @@ parseMember(const SourceFile &sf, const std::string &klass,
         if (e == kNpos)
             return consumeToSemi(toks, i, close);
         i = e;
-        suppress = true; // no template member participates in rules
+        suppress = true;
     }
 
     const std::size_t stmtStart = i;
@@ -451,6 +455,8 @@ parseMember(const SourceFile &sf, const std::string &klass,
             if (x == "using" || x == "typedef" || x == "friend" ||
                 x == "static" || x == "operator")
                 suppress = true;
+            if (x == "friend")
+                isFriend = true;
             if (x == "operator") // consume whole operator decl/def
                 return consumeOperator(toks, i, close);
             if (i + 1 < close && punctIs(toks[i + 1], "<")) {
@@ -483,7 +489,7 @@ parseMember(const SourceFile &sf, const std::string &klass,
                     matchBrace(toks, tail.bodyOpen);
                 if (bodyClose == kNpos || bodyClose > close)
                     return close;
-                if (!suppress)
+                if (!isFriend)
                     recordMethod(sf, klass, toks[lastIdent].text, i,
                                  tail.bodyOpen, bodyClose, out);
                 if (bodyClose + 1 < close &&

@@ -95,8 +95,9 @@ struct CodeModel
     /**
      * Class name -> member-function bodies, inline and out-of-line.
      * Only definitions with bodies are recorded; pure declarations
-     * are not (so `virtual void saveState(...) = 0;` interfaces do
-     * not count as "defines saveState").
+     * are not (so a declared-only `state(...)` whose body lives in a
+     * .cc counts once that file is scanned). Static and template
+     * members count; friends do not.
      */
     std::map<std::string, std::vector<MethodDef>> methods;
     /** parallelFor lambdas grouped by SourceFile::relPath. */

@@ -69,7 +69,7 @@ ruleDescription(const std::string &rule)
         {"charge-pair", "device submit/service calls charge a cost "
                         "in the same body"},
         {"state-cov", "every field of a checkpointable class is "
-                      "serialized in saveState AND restoreState"},
+                      "serialized in its shared state() body"},
         {"par-safety", "parallelFor lambdas write only chunk-local "
                        "state"},
         {"lint-waiver-reason", "waivers must carry a written reason"},

@@ -2,26 +2,30 @@
  * @file
  * Checkpoint state-coverage rule family (state-cov).
  *
- * PR 8 made checkpoints load-bearing: every layer carries
- * saveState/restoreState, and a field that silently escapes
- * serialization shows up three PRs later as a fingerprint mystery.
- * This rule turns that drift into a lint failure at the PR that
- * introduces it: for every class that defines a saveState BODY,
- * every non-static data member must be referenced (as an identifier)
- * in both its saveState and restoreState bodies — directly, or
- * through same-class helper methods, which are inlined transitively.
+ * Every checkpointable class has one state body,
+ * `template <class Self, class Ar> static void state(Self &, Ar &)`,
+ * that a Sink and a Source both drive (see sim/serialize.hh), so a
+ * save and a restore cannot disagree about which fields travel. What
+ * can still happen is a field that travels in neither: added to the
+ * class and never to its state body, it silently escapes every
+ * checkpoint and shows up later as a fingerprint mystery. This rule
+ * turns that into a lint failure at the change that introduces it:
+ * for every class with a state body, every non-static data member
+ * must be referenced (as an identifier) in it — directly, or through
+ * same-class helper methods, which are inlined transitively.
  *
  * Members that cannot meaningfully be serialized are exempt without
  * a waiver, because they are wiring rather than state:
  *
  *   - pointer and reference members (rig wiring: the checkpoint
- *     layer re-links them by stable id, see harness/checkpoint.cc),
+ *     layer re-links them through ordered pointer tables, see
+ *     harness/checkpoint.cc),
  *   - callback members (std::function / SmallFunction),
  *   - const members (fixed at construction, re-fed by config),
- *   - mutable members (mutable in a const-saveState world declares
- *     "not logical state" — a cache, by definition).
+ *   - mutable members (mutable declares "not logical state" — a
+ *     cache, by definition).
  *
- * Everything else either shows up in both bodies or carries a
+ * Everything else either shows up in the state body or carries a
  * `// lint:state-cov-ok(<why transient>)` waiver ON ITS DECLARATION
  * LINE — the finding anchors there, so the reason lives next to the
  * field it excuses.
@@ -41,35 +45,46 @@ namespace
 {
 
 /**
- * Why @p typeText is exempt from coverage, or "" when it is not.
- * The type text is the space-joined token spelling left of the
- * declarator (e.g. "const std :: vector < Pfn > &").
+ * True when @p typeText declares wiring rather than state (pointer,
+ * reference, callback, const or mutable; see the file comment). The
+ * type text is the space-joined token spelling left of the declarator
+ * (e.g. "const std :: vector < Pfn > &").
  */
-std::string
-exemptReason(const std::string &typeText)
+bool
+isExempt(const std::string &typeText)
 {
     std::istringstream in(typeText);
     std::string word;
     while (in >> word) {
-        if (word == "*")
-            return "pointer member (re-linked by stable id)";
-        if (word == "&")
-            return "reference member (wiring)";
-        if (word == "function" || word == "SmallFunction")
-            return "callback member";
-        if (word == "const")
-            return "const member (fixed at construction)";
-        if (word == "mutable")
-            return "mutable member (a cache by declaration)";
+        if (word == "*" || word == "&" || word == "function" ||
+            word == "SmallFunction" || word == "const" ||
+            word == "mutable")
+            return true;
     }
-    return "";
+    return false;
+}
+
+/**
+ * The class's state body: a member named `state` that takes at least
+ * (self, archive), as opposed to an accessor of the same name.
+ */
+const MethodDef *
+stateBody(const CodeModel &model, const std::string &klass)
+{
+    const auto it = model.methods.find(klass);
+    if (it == model.methods.end())
+        return nullptr;
+    for (const MethodDef &m : it->second)
+        if (m.name == "state" && m.params.size() >= 2)
+            return &m;
+    return nullptr;
 }
 
 /**
  * Collect every identifier mentioned in @p def's body into
  * @p idents, inlining unqualified calls to other methods of the
- * same class (and `this->helper()` spellings) so a saveState that
- * delegates to private helpers still covers the fields they touch.
+ * same class, so a state body that delegates to private (static)
+ * helpers still covers the fields they touch.
  */
 void
 collectReferencedIdents(const CodeModel &model, const std::string &klass,
@@ -90,13 +105,10 @@ collectReferencedIdents(const CodeModel &model, const std::string &klass,
             toks[i + 1].kind != Token::Kind::Punct ||
             toks[i + 1].text != "(")
             continue;
-        // Unqualified (or explicit this->) call: same-class helper?
+        // Unqualified call: same-class helper?
         if (i > 0 && toks[i - 1].kind == Token::Kind::Punct &&
             (toks[i - 1].text == "." || toks[i - 1].text == "::" ||
-             (toks[i - 1].text == "->" &&
-              !(i >= 2 && toks[i - 2].kind ==
-                              Token::Kind::Identifier &&
-                toks[i - 2].text == "this"))))
+             toks[i - 1].text == "->"))
             continue;
         const MethodDef *callee = model.method(klass, t.text);
         if (callee != nullptr)
@@ -115,52 +127,25 @@ runStateCovRules(const SourceFile &file, const RuleContext &ctx,
     for (const auto &[name, cls] : model.classes) {
         if (cls.file != &file)
             continue; // report in the declaring file only
-        const MethodDef *save = model.method(name, "saveState");
-        if (save == nullptr)
-            continue; // interfaces (pure virtual) have no body
-        const MethodDef *restore = model.method(name, "restoreState");
+        const MethodDef *body = stateBody(model, name);
+        if (body == nullptr)
+            continue; // not checkpointable
 
-        std::set<std::string> saveRefs;
-        std::set<std::string> restoreRefs;
+        std::set<std::string> refs;
         std::set<const MethodDef *> visited;
-        collectReferencedIdents(model, name, *save, saveRefs, visited,
-                                0);
-        if (restore != nullptr) {
-            visited.clear();
-            collectReferencedIdents(model, name, *restore, restoreRefs,
-                                    visited, 0);
-        } else {
-            out.push_back(Finding{
-                file.relPath, cls.line, kRuleStateCov,
-                "class '" + name +
-                    "' defines saveState but no restoreState body "
-                    "was found: a checkpoint of it could never be "
-                    "applied"});
-        }
+        collectReferencedIdents(model, name, *body, refs, visited, 0);
 
         for (const FieldDecl &f : cls.fields) {
-            if (!exemptReason(f.type).empty())
+            if (isExempt(f.type) || refs.count(f.name) != 0)
                 continue;
-            const bool inSave = saveRefs.count(f.name) != 0;
-            const bool inRestore =
-                restore == nullptr || restoreRefs.count(f.name) != 0;
-            if (inSave && inRestore)
-                continue;
-            std::string where;
-            if (!inSave && !inRestore)
-                where = "saveState or restoreState";
-            else if (!inSave)
-                where = "saveState";
-            else
-                where = "restoreState";
             out.push_back(Finding{
                 file.relPath, f.line, kRuleStateCov,
                 "field '" + f.name + "' of checkpointable class '" +
-                    name + "' is not referenced in " + where +
-                    ": a checkpoint would silently drop it — "
-                    "serialize it, or waive with "
-                    "lint:state-cov-ok(<why transient>) on the "
-                    "declaration"});
+                    name +
+                    "' is not referenced in its state body: a "
+                    "checkpoint would silently drop it — serialize it, "
+                    "or waive with lint:state-cov-ok(<why transient>) "
+                    "on the declaration"});
         }
     }
 }
