@@ -718,17 +718,8 @@ MgLruPolicy::state(Self &self, Ar &ar)
     Rng::state(self.rng_, ar);
 }
 
-void
-MgLruPolicy::saveState(Sink &sink) const
-{
-    state(*this, sink);
-}
-
-void
-MgLruPolicy::restoreState(Source &src)
-{
-    state(*this, src);
-}
+template void MgLruPolicy::state(const MgLruPolicy &, Sink &);
+template void MgLruPolicy::state(MgLruPolicy &, Source &);
 
 void
 MgLruPolicy::registerProbes(PeriodicSampler &sampler) const

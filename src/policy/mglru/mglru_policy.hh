@@ -248,10 +248,10 @@ class MgLruPolicy : public ReplacementPolicy
         return genList(seq);
     }
 
-    void saveState(Sink &sink) const override;
-    void restoreState(Source &src) override;
+    void saveState(Sink &sink) const override { state(*this, sink); }
+    void restoreState(Source &src) override { state(*this, src); }
 
-    /** Defined (and instantiated) in mglru_policy.cc. */
+    /** Defined, and instantiated for Sink and Source, in the .cc. */
     template <class Self, class Ar>
     static void state(Self &self, Ar &ar);
 
