@@ -17,6 +17,9 @@
  *  - The single- and multi-tenant machines sharing one rig: the
  *    ZRAM, memcg-limit and slow-tier single-tenant pins and the
  *    per-tenant colocation pins cover the build paths that merge.
+ *  - The aging walk's scan modes: the Scan-Rand and Scan-All pins
+ *    cover the two non-default modes, so a change to which regions
+ *    a walk visits (or in what order Scan-Rand draws) shows here.
  *
  * If a fingerprint changes, the refactor being tested altered
  * simulated behavior: find the divergence, don't re-record. Only
@@ -187,6 +190,20 @@ TEST(BitIdentity, PageRankMgLruSsdPinned)
 {
     EXPECT_EQ(run(WorkloadKind::PageRank, PolicyKind::MgLru),
               15287283016998830679ull);
+}
+
+TEST(BitIdentity, ScanRandMgLruSsdPinned)
+{
+    // Scan-Rand draws its RNG once per present region, in walk order:
+    // the one scan mode whose walk schedule is easiest to perturb.
+    EXPECT_EQ(run(WorkloadKind::YcsbA, PolicyKind::ScanRand),
+              1319443912745866151ull);
+}
+
+TEST(BitIdentity, ScanAllMgLruSsdPinned)
+{
+    EXPECT_EQ(run(WorkloadKind::YcsbA, PolicyKind::ScanAll),
+              7728261854957344814ull);
 }
 
 TEST(BitIdentity, YcsbAClockZramPinned)
