@@ -203,24 +203,11 @@ class PageTable
     }
 
     /**
-     * Clear the bits of @p mask in region @p r's accessed word @p w
-     * (bitmap side only). The caller owns the matching PTE flag
-     * fixups — this is the word-store half of the aging scan's
-     * "word-store plus per-PTE fixup" clearing.
-     */
-    void
-    clearAccessedBits(std::uint64_t r, std::uint64_t w,
-                      std::uint64_t mask)
-    {
-        accessedBits_[r * kWordsPerRegion + w] &= ~mask;
-    }
-
-    /**
      * Aging-harvest primitive: return the present&accessed mask of
      * bitmap word @p wi and clear those accessed bits, both in the
-     * bitmap word and in the affected PTE flag bytes — the fused
-     * tracked-mutator form of accessedWord + clearAccessedBits +
-     * per-PTE testAndClearAccessed.
+     * bitmap word and in the affected PTE flag bytes — the word-wide
+     * tracked-mutator form of per-PTE testAndClearAccessed, and the
+     * only one the MG-LRU aging walk and neighbor scan use.
      *
      * Safe to call concurrently for DISTINCT words: it reads and
      * writes only word @p wi of the accessed bitmap plus the flag

@@ -40,6 +40,13 @@ shadowSeq(std::uint32_t shadow)
     return (shadow >> 3) & kShadowSeqMask;
 }
 
+/** A walk charge: @p cost scaled by @p scale, truncated once. */
+SimDuration
+walkCharge(double scale, SimDuration cost)
+{
+    return static_cast<SimDuration>(scale * static_cast<double>(cost));
+}
+
 } // namespace
 
 MgLruPolicy::MgLruPolicy(FrameTable &frames,
@@ -49,6 +56,10 @@ MgLruPolicy::MgLruPolicy(FrameTable &frames,
                          const EventQueue *clock)
     : frames_(frames), spaces_(std::move(spaces)), costs_(costs),
       rng_(std::move(rng)), config_(config), name_(std::move(name)),
+      regionVisitCost_(walkCharge(costs.walkScale, costs.regionVisit)),
+      linearScanCost_(walkCharge(costs.walkScale,
+                                 costs.pteScan * kPtesPerRegion)),
+      youngClearCost_(walkCharge(costs.walkScale, costs.youngClear)),
       filters_{RegionBloomFilter(config.bloomBits, config.bloomHashes,
                                  rng_.nextU64()),
                RegionBloomFilter(config.bloomBits, config.bloomHashes,
@@ -224,68 +235,71 @@ void
 MgLruPolicy::scanRegion(AddressSpace &space, std::uint64_t region,
                         std::uint64_t promote_seq, CostSink &costs)
 {
+    // The reference: one Pte at a time, the loop the harvest/apply
+    // pair must match charge for charge.
     PageTable &table = space.table();
     const Vpn base = regionBase(region);
-    const double ws = costs_.walkScale;
+    costs.charge(linearScanCost_);
+    stats_.ptesScanned += kPtesPerRegion;
+    std::uint32_t young = 0;
+    for (Vpn v = base; v < base + kPtesPerRegion; ++v) {
+        const auto pte = table.at(v);
+        if (!pte.present())
+            continue;
+        if (!table.testAndClearAccessed(v))
+            continue;
+        costs.charge(youngClearCost_);
+        ++young;
+        visitYoungPte(pte, promote_seq, costs);
+    }
+    if (young >= config_.youngDensityThreshold) {
+        filters_[1 - activeFilter_].add(regionKey(space, region));
+        costs.charge(costs_.bloomOp);
+        ++mgStats_.bloomInsertions;
+    }
+}
+
+MgLruPolicy::RegionMask
+MgLruPolicy::harvestRegion(PageTable &table, std::uint64_t region)
+{
+    RegionMask young;
+    for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w)
+        young[w] = table.harvestYoungWord(
+            region * PageTable::kWordsPerRegion + w);
+    return young;
+}
+
+void
+MgLruPolicy::chargeLinearScan(std::uint64_t regions, CostSink &costs)
+{
     // The SIMULATED walker reads every slot of the leaf table page;
     // sparse regions pay the full linear cost — exactly why naive full
-    // scans are wasteful (Sec. III-B). The host-side implementation
-    // below touches only the young PTEs, but the charge stays linear.
-    costs.charge(static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.pteScan * kPtesPerRegion)));
-    stats_.ptesScanned += kPtesPerRegion;
+    // scans are wasteful (Sec. III-B). The host touched only the
+    // young PTEs, but the charge stays linear.
+    costs.charge(linearScanCost_ * static_cast<SimDuration>(regions));
+    stats_.ptesScanned += regions * kPtesPerRegion;
+}
+
+void
+MgLruPolicy::applyRegion(AddressSpace &space, std::uint64_t region,
+                         const RegionMask &young,
+                         std::uint64_t promote_seq, CostSink &costs)
+{
+    PageTable &table = space.table();
+    chargeLinearScan(1, costs);
+    std::uint64_t count = 0;
+    for (const std::uint64_t word : young)
+        count += static_cast<std::uint64_t>(std::popcount(word));
     // Clearing a live accessed bit costs a TLB shootdown.
-    const auto youngClearCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.youngClear));
-    std::uint32_t young = 0;
-
-    if (config_.referenceScan) {
-        // Reference implementation: one Pte at a time, exactly the
-        // pre-bitmap loop. Kept selectable so differential tests can
-        // prove the word path below is behavior-identical.
-        for (Vpn v = base; v < base + kPtesPerRegion; ++v) {
-            const auto pte = table.at(v);
-            if (!pte.present())
-                continue;
-            if (!table.testAndClearAccessed(v))
-                continue;
-            costs.charge(youngClearCost);
-            ++young;
-            visitYoungPte(pte, promote_seq, costs);
-        }
-    } else {
-        // Word-at-a-time: only `present & accessed` bits cost PTE
-        // loads; a cold or empty word costs two bitmap loads total.
-        // Accessed-bit clearing is one word store per word plus a
-        // per-PTE flag fixup only for the set bits. Masking with
-        // `present` matters: the per-slot loop above never clears the
-        // accessed bit of a non-present PTE, so neither may we.
-        for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w) {
-            std::uint64_t hot = table.accessedWord(region, w) &
-                                table.presentWord(region, w);
-            if (hot == 0)
-                continue;
-            table.clearAccessedBits(region, w, hot);
-            const Vpn wbase = base + w * 64;
-            do {
-                const auto bit = static_cast<unsigned>(
-                    std::countr_zero(hot));
-                hot &= hot - 1;
-                const auto pte = table.at(wbase + bit);
-                // lint:pte-direct-ok(clearAccessedBits above already
-                // reconciled the bitmap word and region counters for
-                // this whole word; this per-bit store only mirrors it
-                // into the Pte, which the word-wide op leaves to the
-                // fixup loop on purpose)
-                pte.clearFlag(Pte::Accessed);
-                costs.charge(youngClearCost);
-                ++young;
-                visitYoungPte(pte, promote_seq, costs);
-            } while (hot != 0);
-        }
+    costs.charge(youngClearCost_ * static_cast<SimDuration>(count));
+    for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w) {
+        const Vpn wbase = regionBase(region) + w * 64;
+        for (std::uint64_t m = young[w]; m != 0; m &= m - 1)
+            visitYoungPte(table.at(wbase + static_cast<std::uint64_t>(
+                                               std::countr_zero(m))),
+                          promote_seq, costs);
     }
-
-    if (young >= config_.youngDensityThreshold) {
+    if (count >= config_.youngDensityThreshold) {
         filters_[1 - activeFilter_].add(regionKey(space, region));
         costs.charge(costs_.bloomOp);
         ++mgStats_.bloomInsertions;
@@ -344,58 +358,25 @@ MgLruPolicy::ageStep(CostSink &costs, std::uint32_t region_budget)
     if (!walk_.active)
         startWalk();
 
-    if (config_.scanMode == ScanMode::None) {
-        // Scan-None never walks page tables; aging is just the
-        // generation bump.
-        finishWalk();
-        return true;
-    }
-
-    if (useShardedScan())
-        return ageStepSharded(costs, region_budget);
-
-    // The per-region visit charge is truncated per region (matching
-    // the per-slot reference), then multiplied for batched skips —
-    // never cast(n * cost), which would round differently.
-    const auto regionVisitCost = static_cast<SimDuration>(
-        costs_.walkScale * static_cast<double>(costs_.regionVisit));
+    // Scan-None never walks page tables; aging is just the generation
+    // bump. Every region costs one budget unit whatever it holds, so
+    // slice boundaries are content-independent.
     std::uint64_t visited = 0;
-    while (walk_.spaceIdx < spaces_.size()) {
+    while (config_.scanMode != ScanMode::None &&
+           walk_.spaceIdx < spaces_.size()) {
         AddressSpace &space = *spaces_[walk_.spaceIdx];
-        PageTable &table = space.table();
-        const std::uint64_t nr = table.numRegions();
+        const std::uint64_t nr = space.table().numRegions();
         while (walk_.region < nr) {
             if (visited >= region_budget)
                 return false; // pass continues on the next slice
-            const std::uint64_t next =
-                table.nextPresentRegion(walk_.region);
-            if (next > walk_.region) {
-                // A run of regions with no present PTE: the per-slot
-                // walker would visit and skip each one (a present-free
-                // region never consults the Bloom filter or the RNG),
-                // so batching the run keeps charges, stats, and RNG
-                // draws identical while costing one summary-bitmap
-                // scan on the host.
-                const std::uint64_t n =
-                    std::min(next - walk_.region,
-                             region_budget - visited);
-                costs.charge(regionVisitCost *
-                             static_cast<SimDuration>(n));
-                stats_.regionsVisited += n;
-                stats_.regionsSkipped += n;
-                visited += n;
-                walk_.region += n;
-                continue;
-            }
-            const std::uint64_t r = walk_.region++;
-            ++visited;
-            costs.charge(regionVisitCost);
-            ++stats_.regionsVisited;
-            if (!shouldScanRegion(regionKey(space, r), costs)) {
-                ++stats_.regionsSkipped;
-                continue;
-            }
-            scanRegion(space, r, walk_.promoteSeq, costs);
+            const std::uint64_t take = std::min<std::uint64_t>(
+                nr - walk_.region, region_budget - visited);
+            if (config_.referenceScan)
+                referenceSlice(space, walk_.region, take, costs);
+            else
+                harvestSlice(space, walk_.region, take, costs);
+            walk_.region += take;
+            visited += take;
         }
         ++walk_.spaceIdx;
         walk_.region = 0;
@@ -404,14 +385,22 @@ MgLruPolicy::ageStep(CostSink &costs, std::uint32_t region_budget)
     return true;
 }
 
-bool
-MgLruPolicy::useShardedScan() const
+void
+MgLruPolicy::referenceSlice(AddressSpace &space, std::uint64_t first,
+                            std::uint64_t count, CostSink &costs)
 {
-    // Random mode draws the RNG once per present region, in walk
-    // order — state the order-free harvest cannot reproduce. The
-    // reference scan exists precisely to pin the legacy loop.
-    return config_.shardedScan && !config_.referenceScan &&
-           config_.scanMode != ScanMode::Random;
+    for (std::uint64_t r = first; r < first + count; ++r) {
+        costs.charge(regionVisitCost_);
+        ++stats_.regionsVisited;
+        // A region with no present PTE never consults the Bloom
+        // filter or the RNG.
+        if (space.table().region(r).present == 0 ||
+            !shouldScanRegion(regionKey(space, r), costs)) {
+            ++stats_.regionsSkipped;
+            continue;
+        }
+        scanRegion(space, r, walk_.promoteSeq, costs);
+    }
 }
 
 void
@@ -421,137 +410,105 @@ MgLruPolicy::harvestChunk(PageTable &table, const AddressSpace &space,
                           ChunkHarvest &out) const
 {
     // Runs concurrently with other chunks' harvests. Reads bitmap
-    // words and the (frozen) active Bloom filter; its only writes are
-    // harvestYoungWord's accessed-bit clears, confined to this
-    // chunk's own words and flag bytes. No policy state is touched —
-    // that all happens in the serial apply loop.
-    const std::uint64_t end = chunk.firstRegion + chunk.numRegions;
-    for (std::uint64_t r = chunk.firstRegion; r < end; ++r) {
+    // words, the chunk's Scan-Rand picks and the (frozen) active
+    // Bloom filter; its only writes are harvestRegion's accessed-bit
+    // clears, confined to this chunk's own words and flag bytes. No
+    // policy state is touched — that all happens in the serial apply.
+    // Tallies stay in locals until the end: neighboring chunks' output
+    // shares cache lines.
+    const bool random = config_.scanMode == ScanMode::Random;
+    std::uint64_t empty = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t quiet = 0;
+    for (std::uint64_t i = 0; i < chunk.numRegions; ++i) {
+        const std::uint64_t r = chunk.firstRegion + i;
         if (!table.anyPresent(r)) {
-            ++out.empty;
+            ++empty;
             continue;
         }
-        ++out.present;
-        if (filter != nullptr &&
-            !filter->maybeContains(regionKey(space, r))) {
-            ++out.rejected;
+        if (random ? !chunk.picks[i]
+                   : filter != nullptr &&
+                         !filter->maybeContains(regionKey(space, r))) {
+            ++rejected;
             continue;
         }
-        ++out.scanned;
-        std::uint64_t young = 0;
-        for (std::uint64_t w = 0; w < PageTable::kWordsPerRegion; ++w) {
-            std::uint64_t mask = table.harvestYoungWord(
-                r * PageTable::kWordsPerRegion + w);
-            if (mask == 0)
-                continue;
-            young += static_cast<std::uint64_t>(std::popcount(mask));
-            const Vpn wbase = regionBase(r) + w * 64;
-            do {
-                out.youngVpns.push_back(
-                    wbase + static_cast<std::uint64_t>(
-                                std::countr_zero(mask)));
-                mask &= mask - 1;
-            } while (mask != 0);
+        const RegionMask young = harvestRegion(table, r);
+        // A region with no young PTE and no Bloom insert due costs
+        // only the linear scan, which the apply charges in bulk.
+        if (young == RegionMask{} && config_.youngDensityThreshold > 0) {
+            ++quiet;
+            continue;
         }
-        out.young += young;
-        if (young >= config_.youngDensityThreshold)
-            out.bloomKeys.push_back(regionKey(space, r));
+        out.young.push_back(YoungRegion{r, young});
     }
+    out.empty = empty;
+    out.rejected = rejected;
+    out.quiet = quiet;
 }
 
-bool
-MgLruPolicy::ageStepSharded(CostSink &costs,
-                            std::uint32_t region_budget)
+void
+MgLruPolicy::harvestSlice(AddressSpace &space, std::uint64_t first,
+                          std::uint64_t count, CostSink &costs)
 {
-    // Same per-region charge quantities as the legacy loop: each
-    // truncated once from double, then multiplied by integer counts
-    // (CostSink::charge is a plain sum, so count * cost == the legacy
-    // per-region accumulation bit for bit).
-    const double ws = costs_.walkScale;
-    const auto regionVisitCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.regionVisit));
-    const auto pteScanCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.pteScan * kPtesPerRegion));
-    const auto youngClearCost = static_cast<SimDuration>(
-        ws * static_cast<double>(costs_.youngClear));
+    PageTable &table = space.table();
     const bool bloom = config_.scanMode == ScanMode::Bloom;
     // The active filter is frozen for the whole pass (inserts go to
-    // the inactive one), so concurrent reads are safe.
+    // the inactive one), so concurrent reads are safe. Before the
+    // first walk has populated a filter, the kernel walks everything
+    // it finds.
     const RegionBloomFilter *filter =
         (bloom && filterWarm_) ? &filters_[activeFilter_] : nullptr;
 
-    std::uint64_t visited = 0;
-    while (walk_.spaceIdx < spaces_.size()) {
-        AddressSpace &space = *spaces_[walk_.spaceIdx];
-        PageTable &table = space.table();
-        const std::uint64_t nr = table.numRegions();
-        while (walk_.region < nr) {
-            if (visited >= region_budget)
-                return false; // pass continues on the next slice
-            // Every region costs exactly one budget unit in the
-            // legacy loop too (empty-run batching included), so the
-            // slice boundary is content-independent.
-            const std::uint64_t take = std::min<std::uint64_t>(
-                nr - walk_.region, region_budget - visited);
-
-            // Split [region, region + take) at shard boundaries.
-            chunkScratch_.clear();
-            for (std::uint64_t r = walk_.region, left = take;
-                 left > 0;) {
-                const std::uint64_t n = std::min(
-                    kRegionsPerShard - r % kRegionsPerShard, left);
-                chunkScratch_.push_back(ScanChunk{r, n});
-                r += n;
-                left -= n;
-            }
-            harvestScratch_.assign(chunkScratch_.size(),
-                                   ChunkHarvest{});
-
-            // Parallel harvest: chunks claim slots atomically but
-            // write disjoint output, so completion order is
-            // unobservable.
-            parallelFor(scanWorkers_, chunkScratch_.size(),
-                        [&](std::size_t ci) {
-                            harvestChunk(table, space,
-                                         chunkScratch_[ci], filter,
-                                         harvestScratch_[ci]);
-                        });
-
-            // Serial apply in ascending chunk (= region) order: the
-            // only order-sensitive state is generation-list pushFront
-            // order, replayed here exactly as the legacy walk would.
-            for (std::size_t ci = 0; ci < chunkScratch_.size(); ++ci) {
-                const ScanChunk &ch = chunkScratch_[ci];
-                const ChunkHarvest &h = harvestScratch_[ci];
-                costs.charge(regionVisitCost *
-                             static_cast<SimDuration>(ch.numRegions));
-                stats_.regionsVisited += ch.numRegions;
-                stats_.regionsSkipped += h.empty + h.rejected;
-                if (bloom)
-                    costs.charge(costs_.bloomOp *
-                                 static_cast<SimDuration>(h.present));
-                costs.charge(pteScanCost *
-                             static_cast<SimDuration>(h.scanned));
-                stats_.ptesScanned += h.scanned * kPtesPerRegion;
-                costs.charge(youngClearCost *
-                             static_cast<SimDuration>(h.young));
-                for (const Vpn v : h.youngVpns)
-                    visitYoungPte(table.at(v), walk_.promoteSeq,
-                                  costs);
-                for (const std::uint64_t key : h.bloomKeys) {
-                    filters_[1 - activeFilter_].add(key);
-                    costs.charge(costs_.bloomOp);
-                    ++mgStats_.bloomInsertions;
-                }
-            }
-            walk_.region += take;
-            visited += take;
-        }
-        ++walk_.spaceIdx;
-        walk_.region = 0;
+    // Split [first, first + count) at shard boundaries.
+    chunkScratch_.clear();
+    for (std::uint64_t r = first, left = count; left > 0;) {
+        const std::uint64_t n =
+            std::min(kRegionsPerShard - r % kRegionsPerShard, left);
+        chunkScratch_.push_back(ScanChunk{r, n});
+        r += n;
+        left -= n;
     }
-    finishWalk();
-    return true;
+    if (config_.scanMode == ScanMode::Random) {
+        // Scan-Rand draws once per present region, in ascending
+        // region order: serially here, so the parallel harvest only
+        // reads the picks.
+        for (ScanChunk &ch : chunkScratch_) {
+            const std::uint64_t end = ch.firstRegion + ch.numRegions;
+            for (std::uint64_t r = table.nextPresentRegion(ch.firstRegion);
+                 r < end; r = table.nextPresentRegion(r + 1))
+                ch.picks[r - ch.firstRegion] =
+                    rng_.bernoulli(config_.randomScanProb);
+        }
+    }
+    harvestScratch_.assign(chunkScratch_.size(), ChunkHarvest{});
+
+    // Parallel harvest: chunks claim slots atomically but write
+    // disjoint output, so completion order is unobservable.
+    parallelFor(scanWorkers_, chunkScratch_.size(), [&](std::size_t ci) {
+        harvestChunk(table, space, chunkScratch_[ci], filter,
+                     harvestScratch_[ci]);
+    });
+
+    // Serial apply in ascending chunk (= region) order: the only
+    // order-sensitive state is generation-list pushFront order.
+    // CostSink::charge is a plain sum, so count * cost equals the
+    // per-region accumulation bit for bit.
+    for (std::size_t ci = 0; ci < chunkScratch_.size(); ++ci) {
+        const ScanChunk &ch = chunkScratch_[ci];
+        const ChunkHarvest &h = harvestScratch_[ci];
+        costs.charge(regionVisitCost_ *
+                     static_cast<SimDuration>(ch.numRegions));
+        stats_.regionsVisited += ch.numRegions;
+        stats_.regionsSkipped += h.empty + h.rejected;
+        if (bloom)
+            costs.charge(costs_.bloomOp *
+                         static_cast<SimDuration>(
+                             h.rejected + h.quiet + h.young.size()));
+        chargeLinearScan(h.quiet, costs);
+        for (const YoungRegion &yr : h.young)
+            applyRegion(space, yr.region, yr.young, walk_.promoteSeq,
+                        costs);
+    }
 }
 
 void
@@ -638,7 +595,13 @@ MgLruPolicy::selectVictims(std::vector<Pfn> &out, std::size_t max,
             if (config_.evictNeighborScan) {
                 ++mgStats_.neighborScans;
                 const std::uint64_t promoted_before = stats_.promotions;
-                scanRegion(*pi.space, regionOf(pi.vpn), maxSeq_, costs);
+                const std::uint64_t r = regionOf(pi.vpn);
+                if (config_.referenceScan)
+                    scanRegion(*pi.space, r, maxSeq_, costs);
+                else
+                    applyRegion(*pi.space, r,
+                                harvestRegion(pi.space->table(), r),
+                                maxSeq_, costs);
                 mgStats_.neighborPromotions +=
                     stats_.promotions - promoted_before;
             }

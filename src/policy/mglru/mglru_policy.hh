@@ -22,12 +22,20 @@
  *    promote into the same generation — the precision loss the paper
  *    calls out (Sec. V-B).
  *
+ *    Every scan mode walks the same way: each slice of the walk is
+ *    split at shard boundaries, the shards' young PTEs are harvested
+ *    (optionally on worker threads; harvestRegion), and the results
+ *    are applied serially in ascending region order (applyRegion).
+ *    Scan-Rand draws its per-region coin flips serially before the
+ *    harvest, in the same ascending order.
+ *
  *  - Eviction: scans the oldest generation, walking the rmap per page
  *    like Clock, but on finding a referenced page it additionally
  *    scans the *surrounding PTEs* of that page's page-table region,
  *    promoting other referenced pages at linear-scan cost and feeding
  *    dense regions back into the Bloom filter (the aging/eviction
- *    feedback loop, Sec. III-C).
+ *    feedback loop, Sec. III-C). That neighbor scan is the aging
+ *    walk's harvest/apply pair run on one region.
  *
  *  - Tiers + PID: file-backed pages accessed through file descriptors
  *    climb tiers within a generation instead of jumping to the
@@ -44,6 +52,8 @@
 #ifndef PAGESIM_POLICY_MGLRU_MGLRU_POLICY_HH
 #define PAGESIM_POLICY_MGLRU_MGLRU_POLICY_HH
 
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -121,26 +131,17 @@ struct MgLruConfig
      */
     SimDuration minAgingGap = msecs(25);
     /**
-     * Use the per-slot reference implementation of scanRegion instead
-     * of the word-at-a-time bitmap path. Behavior (charges, stats,
-     * promotions, PTE end-states) is identical by contract — this
-     * switch exists so differential and bit-identity tests can prove
-     * it. Not a simulation knob; leave it off outside tests.
+     * Replace the shard harvest with the per-slot reference: a plain
+     * serial walk, one region and one PTE slot at a time, for aging
+     * and for the eviction-side neighbor scan. Behavior (charges,
+     * stats, promotions, PTE and list end-states) is identical by
+     * contract — this switch exists so differential and bit-identity
+     * tests can prove it. Not a simulation knob; leave it off outside
+     * tests.
      */
     bool referenceScan = false;
     /**
-     * Shard-sliced aging walk: split each slice at shard boundaries,
-     * harvest young PTEs per shard (optionally on worker threads),
-     * then apply charges/promotions serially in ascending shard
-     * order. Behavior (charges, stats, promotions, PTE and list
-     * end-states) is bit-identical to the legacy loop by construction
-     * — see DESIGN.md Sec. 4f. Ignored under ScanMode::Random (the
-     * legacy loop draws the RNG per present region, an order the
-     * harvest cannot reproduce) and under referenceScan.
-     */
-    bool shardedScan = true;
-    /**
-     * Harvest worker threads for the sharded walk. 0 resolves from
+     * Harvest worker threads for the aging walk. 0 resolves from
      * the PAGESIM_WORKERS env override, defaulting to 1 — which runs
      * the harvest inline (no threads), so parallelism is strictly
      * opt-in and never oversubscribes sweep workers.
@@ -267,10 +268,33 @@ class MgLruPolicy : public ReplacementPolicy
     /** Recompute a file page's tier from its use count. */
     void updateTier(PageInfoRef pi);
 
+    /** Young-PTE bits of one region, one bit per PTE slot. */
+    using RegionMask = std::array<std::uint64_t, PageTable::kWordsPerRegion>;
+
+    /** Reference walk: does the scan mode admit this region? */
     bool shouldScanRegion(std::uint64_t key, CostSink &costs);
+    /** Reference scan of one region, one PTE slot at a time. */
     void scanRegion(AddressSpace &space, std::uint64_t region,
                     std::uint64_t promote_seq, CostSink &costs);
-    /** Shared tail of both scanRegion paths for one young PTE. */
+    /**
+     * Harvest half of the region scan: clear and return the region's
+     * present & accessed bits. Touches only the region's own bitmap
+     * words and flag bytes, so distinct regions may be harvested
+     * concurrently.
+     */
+    static RegionMask harvestRegion(PageTable &table,
+                                    std::uint64_t region);
+    /**
+     * Apply half, serial: charge the linear PTE scan and one young
+     * clear per harvested bit, visit the young PTEs in ascending VPN
+     * order, and feed a dense region into the inactive Bloom filter.
+     */
+    void applyRegion(AddressSpace &space, std::uint64_t region,
+                     const RegionMask &young,
+                     std::uint64_t promote_seq, CostSink &costs);
+    /** Charge the linear PTE scan of @p regions whole regions. */
+    void chargeLinearScan(std::uint64_t regions, CostSink &costs);
+    /** Shared by applyRegion and scanRegion for one young PTE. */
     void visitYoungPte(PteView pte, std::uint64_t promote_seq,
                        CostSink &costs);
 
@@ -279,33 +303,39 @@ class MgLruPolicy : public ReplacementPolicy
     {
         std::uint64_t firstRegion;
         std::uint64_t numRegions;
+        /** Scan-Rand's draws, bit i for region firstRegion + i. */
+        std::bitset<kRegionsPerShard> picks{};
+    };
+    /** A scanned region with young PTEs, and those PTEs' bits. */
+    struct YoungRegion
+    {
+        std::uint64_t region;
+        RegionMask young;
     };
     /**
-     * Per-chunk harvest output. Region tallies plus the young VPNs
-     * (ascending) and the region keys that crossed the Bloom density
-     * threshold, in region order — everything the serial apply step
-     * needs to replay the legacy walk's effects exactly.
+     * Per-chunk harvest output. Scanned regions split into quiet ones
+     * (nothing to apply beyond the linear scan charge) and young ones,
+     * listed in region order for applyRegion.
      */
     struct ChunkHarvest
     {
         std::uint64_t empty = 0;    ///< regions with no present PTE
-        std::uint64_t present = 0;  ///< regions with a present PTE
-        std::uint64_t rejected = 0; ///< present, Bloom-filtered out
-        std::uint64_t scanned = 0;  ///< present, actually scanned
-        std::uint64_t young = 0;    ///< accessed bits harvested
-        std::vector<Vpn> youngVpns;
-        std::vector<std::uint64_t> bloomKeys;
+        std::uint64_t rejected = 0; ///< present, filtered out
+        std::uint64_t quiet = 0;    ///< scanned, no young PTE
+        std::vector<YoungRegion> young;
     };
 
-    /** ageStep body for the sharded walk (see MgLruConfig). */
-    bool ageStepSharded(CostSink &costs, std::uint32_t region_budget);
+    /** One slice of the aging walk: harvest, then apply. */
+    void harvestSlice(AddressSpace &space, std::uint64_t first,
+                      std::uint64_t count, CostSink &costs);
+    /** One slice of the reference walk (MgLruConfig::referenceScan). */
+    void referenceSlice(AddressSpace &space, std::uint64_t first,
+                        std::uint64_t count, CostSink &costs);
     /** Harvest one chunk: read-only apart from accessed-bit clears. */
     void harvestChunk(PageTable &table, const AddressSpace &space,
                       const ScanChunk &chunk,
                       const RegionBloomFilter *filter,
                       ChunkHarvest &out) const;
-    /** Sharded walk applicable to the current configuration? */
-    bool useShardedScan() const;
 
     FrameTable &frames_;
     std::vector<AddressSpace *> spaces_;
@@ -318,6 +348,11 @@ class MgLruPolicy : public ReplacementPolicy
     std::uint64_t minSeq_ = 0;
     std::uint64_t maxSeq_ = 1;
     std::uint64_t resident_ = 0;
+
+    /** Walk charges, each scaled by walkScale and truncated once. */
+    const SimDuration regionVisitCost_;
+    const SimDuration linearScanCost_; ///< one whole region's PTEs
+    const SimDuration youngClearCost_;
 
     RegionBloomFilter filters_[2];
     unsigned activeFilter_ = 0;
@@ -349,9 +384,9 @@ class MgLruPolicy : public ReplacementPolicy
     /** Resolved harvest worker count (>= 1; 1 = inline, no threads). */
     const unsigned scanWorkers_;
     /** Slice scratch, reused across slices to avoid reallocation. */
-    // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every sharded walk)
+    // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every aging slice)
     std::vector<ScanChunk> chunkScratch_;
-    // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every sharded walk)
+    // lint:state-cov-ok(per-slice scratch, rebuilt at the start of every aging slice)
     std::vector<ChunkHarvest> harvestScratch_;
 
     void startWalk();

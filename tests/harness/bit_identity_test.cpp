@@ -263,13 +263,14 @@ TEST(BitIdentity, ColocationMixedPolicyPinned)
 }
 
 /*
- * PR 6 pin: the SoA metadata + sharded-scan refactor, captured on a
- * 1M-page (4 GiB) YCSB machine — large enough that the aging scan
- * crosses many shards and the sharded slicing/merge logic carries the
- * whole trial. Runs the same trial twice, serial and sharded, and
- * checks both against the recorded value: a fingerprint mismatch
- * means the refactor altered simulated behavior; a serial/sharded
- * split means the sharded walk diverged from the contract.
+ * The SoA metadata + sharded-scan pin, captured on a 1M-page (4 GiB)
+ * YCSB machine — large enough that the aging walk crosses many shards
+ * and the slicing/ordered-apply logic carries the whole trial. Runs
+ * the same trial twice, with the harvest inline (1 worker) and on 4
+ * worker threads, and checks both against the recorded value: a
+ * fingerprint mismatch means a change altered simulated behavior; a
+ * 1-vs-4 split means the parallel harvest broke its determinism
+ * contract.
  */
 TEST(BitIdentity, Big1MSerialAndShardedPinned)
 {
@@ -281,15 +282,10 @@ TEST(BitIdentity, Big1MSerialAndShardedPinned)
     cfg.scale = ScalePreset::Big1M;
     cfg.baseSeed = 12345;
 
-    cfg.mgTweak = [](MgLruConfig &mg) {
-        mg.shardedScan = false;
-    };
+    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 1; };
     const std::uint64_t serial = fingerprint(runTrial(cfg, 12345));
 
-    cfg.mgTweak = [](MgLruConfig &mg) {
-        mg.shardedScan = true;
-        mg.scanWorkers = 4;
-    };
+    cfg.mgTweak = [](MgLruConfig &mg) { mg.scanWorkers = 4; };
     const std::uint64_t sharded = fingerprint(runTrial(cfg, 12345));
 
     EXPECT_EQ(serial, 15456000562956673319ull);

@@ -119,22 +119,6 @@ TEST(PageTable, SummaryBitmapAndNextPresentRegion)
     EXPECT_EQ(t.nextPresentRegion(0), nr);
 }
 
-TEST(PageTable, ClearAccessedBitsIsBitmapSideOnly)
-{
-    PageTable t;
-    t.growTo(kPtesPerRegion);
-    t.markMapped(0, false);
-    t.markMapped(1, false);
-    t.mapFrame(0, 1);
-    t.mapFrame(1, 2);
-    t.setAccessed(0);
-    t.setAccessed(1);
-    t.clearAccessedBits(0, 0, 0x1u);
-    EXPECT_EQ(t.accessedWord(0, 0), 0x2u);
-    // The PTE flag fixup is the caller's job (word-store + fixup).
-    EXPECT_TRUE(t.at(0).accessed());
-}
-
 TEST(PageTable, RegionOfMath)
 {
     EXPECT_EQ(regionOf(0), 0u);

@@ -1,12 +1,13 @@
 /**
  * @file
- * Differential tests for the word-at-a-time aging scan. The bitmap
- * path in MgLruPolicy::scanRegion is a pure optimization: with
- * MgLruConfig::referenceScan selecting the per-slot reference loop,
+ * Differential tests for the MG-LRU aging walk. The production walk
+ * (shard harvest, then serial apply) is a pure optimization: with
+ * MgLruConfig::referenceScan selecting the per-slot reference walk,
  * any driving sequence must produce bit-identical charged costs,
- * stats, generation structure, and PTE end-states. A full-trial check
- * extends the contract end to end through the kernel layer (where the
- * resident-hit fast path also sits on the access path).
+ * stats, generation structure, and PTE end-states, for every scan
+ * mode and any harvest worker count. A full-trial check extends the
+ * contract end to end through the kernel layer (where the resident-
+ * hit fast path also sits on the access path).
  */
 
 #include <gtest/gtest.h>
@@ -35,77 +36,6 @@ struct RunSignature
     std::uint64_t pageHash = 0;
 };
 
-/**
- * Drive one MgLruPolicy instance through a randomized mix of touches,
- * faults, evictions, sliced aging steps, and full aging passes. The
- * sequence depends only on @p seed and @p mode, never on @p reference.
- */
-RunSignature
-drive(std::uint64_t seed, ScanMode mode, bool reference)
-{
-    PolicyHarness h(128, 1024);
-    MgLruConfig cfg;
-    cfg.scanMode = mode;
-    cfg.agingLowPages = 0;
-    cfg.agingEvictGate = 0;
-    cfg.referenceScan = reference;
-    MgLruPolicy policy(h.frames, {&h.space}, h.costs, Rng(seed), cfg);
-
-    Rng rng(seed * 9176 + 13);
-    CostSink sink;
-    std::vector<Pfn> victims;
-    for (int step = 0; step < 3000; ++step) {
-        const double dice = rng.nextDouble();
-        if (dice < 0.50) {
-            const Vpn vpn = h.base() + rng.uniformInt(0, 1023);
-            const auto pte = h.space.table().at(vpn);
-            if (pte.present())
-                h.space.table().setAccessed(vpn);
-            else if (h.frames.freeFrames() > 0)
-                h.makeResident(policy, vpn);
-        } else if (dice < 0.75) {
-            victims.clear();
-            policy.selectVictims(victims, 4, sink);
-            for (const Pfn pfn : victims)
-                h.completeEviction(policy, pfn);
-        } else if (dice < 0.90) {
-            // Sliced walk: exercises the batched empty-region skip.
-            policy.ageStep(sink, 8);
-        } else {
-            policy.age(sink);
-        }
-    }
-
-    RunSignature sig;
-    sig.charged = sink.total();
-    sig.stats = policy.stats();
-    sig.mg = policy.mgStats();
-    sig.minSeq = policy.minSeq();
-    sig.maxSeq = policy.maxSeq();
-    for (Vpn vpn = h.base(); vpn < h.base() + 1024; ++vpn) {
-        const auto pte = h.space.table().at(vpn);
-        const std::uint64_t flags =
-            (pte.present() ? 1u : 0u) | (pte.accessed() ? 2u : 0u) |
-            (pte.dirty() ? 4u : 0u) | (pte.swapped() ? 8u : 0u) |
-            (pte.slow() ? 16u : 0u);
-        const std::uint64_t value =
-            pte.present() ? pte.pfn()
-                          : (pte.swapped() ? pte.swapSlot() : 0u);
-        sig.pteHash = splitmix64(sig.pteHash ^ (vpn * 31 + flags) ^
-                                 (value << 32) ^ pte.shadow());
-    }
-    for (Pfn pfn = 0; pfn < h.frames.totalFrames(); ++pfn) {
-        const auto pi = h.frames.info(pfn);
-        if (pi.free())
-            continue;
-        sig.pageHash =
-            splitmix64(sig.pageHash ^ (pi.vpn << 20) ^ (pi.gen << 8) ^
-                       (static_cast<std::uint64_t>(pi.refs) << 4) ^
-                       pi.tier);
-    }
-    return sig;
-}
-
 void
 expectIdentical(const RunSignature &a, const RunSignature &b)
 {
@@ -132,21 +62,7 @@ expectIdentical(const RunSignature &a, const RunSignature &b)
     EXPECT_EQ(a.pageHash, b.pageHash);
 }
 
-TEST(ScanDifferential, WordScanMatchesReferenceAcrossModes)
-{
-    for (const ScanMode mode :
-         {ScanMode::Bloom, ScanMode::All, ScanMode::Random}) {
-        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-            SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(
-                             mode)) +
-                         " seed=" + std::to_string(seed));
-            expectIdentical(drive(seed, mode, /*reference=*/false),
-                            drive(seed, mode, /*reference=*/true));
-        }
-    }
-}
-
-/** Access patterns for the sharded-scan differential. */
+/** Access patterns for the scan differential. */
 enum class TouchPattern
 {
     Uniform, ///< whole-space uniform random
@@ -177,25 +93,27 @@ patternVpn(TouchPattern pattern, Rng &rng, int step, Vpn base,
 }
 
 /**
- * Drive a multi-shard machine and snapshot everything observable.
- * The sharded scan must be a pure scheduling change: for any seed,
- * pattern, and worker count, its end state equals the legacy serial
- * walk's bit for bit.
+ * Drive a multi-shard machine through a randomized mix of touches,
+ * faults, evictions, sliced aging steps and full aging passes, and
+ * snapshot everything observable. The sequence depends only on
+ * @p seed, @p mode and @p pattern, never on @p reference or
+ * @p workers.
  */
 RunSignature
-driveSharded(std::uint64_t seed, TouchPattern pattern, bool sharded,
-             unsigned workers)
+drive(std::uint64_t seed, ScanMode mode, TouchPattern pattern,
+      bool reference, unsigned workers)
 {
     // Span several shards so slices split into multiple chunks and
-    // the ordered merge is actually exercised (one shard = 64Ki
+    // the ordered apply is actually exercised (one shard = 64Ki
     // pages); 4096 frames keep eviction pressure on.
     const std::uint64_t pages = 2 * kVpnsPerShard + 3 * 1024;
     PolicyHarness h(4096, pages);
     MgLruConfig cfg;
+    cfg.scanMode = mode;
     cfg.agingLowPages = 0;
     cfg.agingEvictGate = 0;
-    cfg.shardedScan = sharded;
-    cfg.scanWorkers = workers == 0 ? 1 : workers;
+    cfg.referenceScan = reference;
+    cfg.scanWorkers = workers;
     MgLruPolicy policy(h.frames, {&h.space}, h.costs, Rng(seed), cfg);
     EXPECT_GE(h.space.table().numShards(), 3u);
 
@@ -256,22 +174,27 @@ driveSharded(std::uint64_t seed, TouchPattern pattern, bool sharded,
     return sig;
 }
 
-TEST(ScanDifferential, ShardedScanMatchesSerialAcrossPatterns)
+TEST(ScanDifferential, HarvestMatchesReferenceAcrossModesAndPatterns)
 {
-    for (const TouchPattern pattern :
-         {TouchPattern::Uniform, TouchPattern::Hotspot,
-          TouchPattern::Strided}) {
-        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-            SCOPED_TRACE("pattern=" +
-                         std::to_string(static_cast<int>(pattern)) +
-                         " seed=" + std::to_string(seed));
-            const RunSignature serial =
-                driveSharded(seed, pattern, /*sharded=*/false, 1);
-            for (const unsigned workers : {1u, 2u, 4u}) {
-                SCOPED_TRACE("workers=" + std::to_string(workers));
-                expectIdentical(serial, driveSharded(seed, pattern,
-                                                     /*sharded=*/true,
-                                                     workers));
+    for (const ScanMode mode :
+         {ScanMode::Bloom, ScanMode::All, ScanMode::Random}) {
+        for (const TouchPattern pattern :
+             {TouchPattern::Uniform, TouchPattern::Hotspot,
+              TouchPattern::Strided}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                SCOPED_TRACE(
+                    "mode=" + std::to_string(static_cast<int>(mode)) +
+                    " pattern=" +
+                    std::to_string(static_cast<int>(pattern)) +
+                    " seed=" + std::to_string(seed));
+                const RunSignature ref =
+                    drive(seed, mode, pattern, /*reference=*/true, 1);
+                for (const unsigned workers : {1u, 2u, 4u}) {
+                    SCOPED_TRACE("workers=" + std::to_string(workers));
+                    expectIdentical(ref, drive(seed, mode, pattern,
+                                               /*reference=*/false,
+                                               workers));
+                }
             }
         }
     }
@@ -279,32 +202,35 @@ TEST(ScanDifferential, ShardedScanMatchesSerialAcrossPatterns)
 
 TEST(ScanDifferential, ShardedScanDoesRealWork)
 {
-    // Guard against the sharded path silently falling back to the
-    // legacy walk (or the harness shrinking to a single shard).
-    const RunSignature sig =
-        driveSharded(7, TouchPattern::Hotspot, true, 4);
+    // Guard against the harness shrinking to a single shard or the
+    // harvest going idle.
+    const RunSignature sig = drive(7, ScanMode::Bloom,
+                                   TouchPattern::Hotspot, false, 4);
     EXPECT_GT(sig.stats.ptesScanned, 0u);
     EXPECT_GT(sig.stats.regionsVisited, 0u);
     EXPECT_GT(sig.stats.evicted, 0u);
+    EXPECT_GT(sig.mg.neighborScans, 0u);
 }
 
 TEST(ScanDifferential, ReferenceScanIsActuallyExercised)
 {
-    // Guard against the switch rotting: both paths must do real work.
-    const RunSignature sig = drive(7, ScanMode::All, true);
+    // Guard against the switch rotting: the reference must do real
+    // work, and Scan-Rand must both scan and skip present regions.
+    const RunSignature sig = drive(7, ScanMode::Random,
+                                   TouchPattern::Uniform, true, 1);
     EXPECT_GT(sig.stats.ptesScanned, 0u);
     EXPECT_GT(sig.stats.promotions, 0u);
     EXPECT_GT(sig.stats.evicted, 0u);
+    EXPECT_GT(sig.stats.regionsSkipped, 0u);
 }
 
-TEST(ScanDifferential, FullTrialIsBitIdentical)
+/** Run one TPC-H SSD cell with each walk and compare every field. */
+void
+expectSameTrial(PolicyKind policy)
 {
-    // End to end: a whole TPC-H trial through the kernel layer, the
-    // aging daemon, and swap must not change by a single event when
-    // the scan implementation is swapped.
     ExperimentConfig cfg;
     cfg.workload = WorkloadKind::Tpch;
-    cfg.policy = PolicyKind::MgLru;
+    cfg.policy = policy;
     cfg.swap = SwapKind::Ssd;
     cfg.capacityRatio = 0.5;
     cfg.scale = ScalePreset::Small;
@@ -345,6 +271,21 @@ TEST(ScanDifferential, FullTrialIsBitIdentical)
         EXPECT_EQ(fast.threadFinishNs[i], ref.threadFinishNs[i]);
         EXPECT_EQ(fast.threadBlockedFaults[i],
                   ref.threadBlockedFaults[i]);
+    }
+}
+
+TEST(ScanDifferential, FullTrialIsBitIdentical)
+{
+    // End to end: a whole TPC-H trial through the kernel layer, the
+    // aging daemon, and swap must not change by a single event when
+    // the scan implementation is swapped — for the default Bloom walk
+    // and for Scan-Rand, whose coin flips are drawn ahead of the
+    // harvest.
+    for (const PolicyKind policy : {PolicyKind::MgLru,
+                                    PolicyKind::ScanRand}) {
+        SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(
+                         policy)));
+        expectSameTrial(policy);
     }
 }
 
