@@ -208,9 +208,9 @@ validateBenchCore(const std::string &json_text)
             c.positiveNumber(*trial, "big_machine.trial",
                              "faults_per_sec");
         }
-        // Serial and sharded scans of the same machine must report
-        // identical TrialResult fingerprints; a divergent document
-        // is invalid, not merely slow.
+        // The aging harvest at 1 and at several workers must report
+        // identical TrialResult fingerprints on the same machine; a
+        // divergent document is invalid, not merely slow.
         const bool required = true;
         c.boolean(*big, "big_machine", "fingerprint_identity",
                   &required);

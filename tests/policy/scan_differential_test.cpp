@@ -136,9 +136,12 @@ drive(std::uint64_t seed, ScanMode mode, TouchPattern pattern,
             for (const Pfn pfn : victims)
                 h.completeEviction(policy, pfn);
         } else if (dice < 0.92) {
-            // Sliced walk: slices below, at, and above the shard size
-            // in regions, so chunks both split and span shard seams.
-            policy.ageStep(sink, 512 + 512 * (step % 3));
+            // Sliced walk: tiny slices, and slices below, at, and
+            // above the shard size in regions, so chunks both split
+            // and span shard seams, and Scan-Rand's draws straddle
+            // many slice boundaries.
+            constexpr std::uint32_t kSlices[] = {8, 512, 1024, 1536};
+            policy.ageStep(sink, kSlices[step % 4]);
         } else {
             policy.age(sink);
         }
