@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -177,26 +178,51 @@ drive(std::uint64_t seed, ScanMode mode, TouchPattern pattern,
     return sig;
 }
 
-TEST(ScanDifferential, HarvestMatchesReferenceAcrossModesAndPatterns)
+constexpr ScanMode kModes[] = {ScanMode::Bloom, ScanMode::All,
+                               ScanMode::Random};
+constexpr TouchPattern kPatterns[] = {
+    TouchPattern::Uniform, TouchPattern::Hotspot, TouchPattern::Strided};
+
+std::string
+cellTrace(ScanMode mode, TouchPattern pattern, std::uint64_t seed)
 {
-    for (const ScanMode mode :
-         {ScanMode::Bloom, ScanMode::All, ScanMode::Random}) {
-        for (const TouchPattern pattern :
-             {TouchPattern::Uniform, TouchPattern::Hotspot,
-              TouchPattern::Strided}) {
+    return "mode=" + std::to_string(static_cast<int>(mode)) +
+           " pattern=" + std::to_string(static_cast<int>(pattern)) +
+           " seed=" + std::to_string(seed);
+}
+
+TEST(ScanDifferential, WordScanMatchesReferenceAcrossModes)
+{
+    // The production walk with one harvest worker against the per-slot
+    // reference walk.
+    for (const ScanMode mode : kModes) {
+        for (const TouchPattern pattern : kPatterns) {
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-                SCOPED_TRACE(
-                    "mode=" + std::to_string(static_cast<int>(mode)) +
-                    " pattern=" +
-                    std::to_string(static_cast<int>(pattern)) +
-                    " seed=" + std::to_string(seed));
-                const RunSignature ref =
-                    drive(seed, mode, pattern, /*reference=*/true, 1);
-                for (const unsigned workers : {1u, 2u, 4u}) {
+                SCOPED_TRACE(cellTrace(mode, pattern, seed));
+                expectIdentical(
+                    drive(seed, mode, pattern, /*reference=*/true, 1),
+                    drive(seed, mode, pattern, /*reference=*/false, 1));
+            }
+        }
+    }
+}
+
+TEST(ScanDifferential, ShardedScanMatchesSerialAcrossPatterns)
+{
+    // A harvest split across several workers against the single-worker
+    // harvest; with the test above, every worker count matches the
+    // reference walk.
+    for (const ScanMode mode : kModes) {
+        for (const TouchPattern pattern : kPatterns) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                SCOPED_TRACE(cellTrace(mode, pattern, seed));
+                const RunSignature serial =
+                    drive(seed, mode, pattern, /*reference=*/false, 1);
+                for (const unsigned workers : {2u, 4u}) {
                     SCOPED_TRACE("workers=" + std::to_string(workers));
-                    expectIdentical(ref, drive(seed, mode, pattern,
-                                               /*reference=*/false,
-                                               workers));
+                    expectIdentical(serial, drive(seed, mode, pattern,
+                                                  /*reference=*/false,
+                                                  workers));
                 }
             }
         }
