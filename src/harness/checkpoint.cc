@@ -45,6 +45,7 @@ struct ParsedSection
 {
     std::string name;
     Source payload;
+    std::uint64_t fingerprint = 0; ///< as stored, not yet checked
 };
 
 struct ParsedImage
@@ -67,13 +68,12 @@ struct ParsedImage
 };
 
 /**
- * Decode the image layout and validate EVERYTHING that can be checked
- * without touching a rig: magic, version, per-section bounds, and
- * every section fingerprint. After this returns ok(), a later apply
- * can only fail on a semantic mismatch, never on corruption.
+ * Decode the image layout: magic, version, header, and per-section
+ * bounds, with no trailing bytes. Section fingerprints are kept but
+ * not checked; checkFingerprints does that.
  */
 CheckpointError
-parseImage(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
+parseLayout(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
 {
     Source cur(bytes.data(), bytes.size());
 
@@ -118,19 +118,31 @@ parseImage(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
             return makeError(CheckpointError::Kind::Truncated,
                              "image truncated inside section " +
                                  std::to_string(i));
-        ParsedSection sec{
-            std::string(reinterpret_cast<const char *>(name.data()),
-                        name.size()),
-            payload};
-        if (fnv1a(payload.data(), payload.size()) != fp)
-            return makeError(
-                CheckpointError::Kind::FingerprintMismatch,
-                "section '" + sec.name + "' fingerprint mismatch");
-        out.sections.push_back(std::move(sec));
+        out.sections.push_back(
+            {std::string(reinterpret_cast<const char *>(name.data()),
+                         name.size()),
+             payload, fp});
     }
     if (cur.remaining() != 0)
         return makeError(CheckpointError::Kind::Truncated,
                          "trailing bytes after the last section");
+    return {};
+}
+
+/**
+ * Hash every section payload of a parsed image against its stored
+ * fingerprint. After parseLayout and this both return ok(), a later
+ * apply can only fail on a semantic mismatch, never on corruption.
+ */
+CheckpointError
+checkFingerprints(const ParsedImage &img)
+{
+    for (const ParsedSection &sec : img.sections)
+        if (fnv1a(sec.payload.data(), sec.payload.size()) !=
+            sec.fingerprint)
+            return makeError(
+                CheckpointError::Kind::FingerprintMismatch,
+                "section '" + sec.name + "' fingerprint mismatch");
     return {};
 }
 
@@ -322,7 +334,9 @@ restoreCheckpoint(const RigView &rig, std::uint64_t config_hash,
 
     // ---- Validation: nothing below touches the rig. -----------------
     ParsedImage img;
-    if (CheckpointError e = parseImage(ckpt.bytes, img); !e.ok())
+    if (CheckpointError e = parseLayout(ckpt.bytes, img); !e.ok())
+        return e;
+    if (CheckpointError e = checkFingerprints(img); !e.ok())
         return e;
     if (img.configHash != config_hash || img.seed != seed)
         return makeError(CheckpointError::Kind::ConfigMismatch,
@@ -466,7 +480,7 @@ loadCheckpointFile(const std::string &path, Checkpoint &out)
                          "short read from '" + path + "'");
 
     ParsedImage img;
-    if (CheckpointError e = parseImage(bytes, img); !e.ok())
+    if (CheckpointError e = parseLayout(bytes, img); !e.ok())
         return e;
     out.configHash = img.configHash;
     out.seed = img.seed;

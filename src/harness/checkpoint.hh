@@ -26,13 +26,15 @@
  *
  * Format: a little-endian header (magic, version, config-prefix hash,
  * seed, sim time, refs) followed by named sections, each carrying its
- * byte length and an FNV-1a fingerprint. Loading is two-pass: ALL
- * section fingerprints are validated before ANY state is applied, so
- * truncation, version skew, and flipped bytes are rejected with a
- * structured error and zero partial state. (If apply itself fails —
- * only possible on a format bug the version check should have caught —
- * the caller must discard the half-restored rig; runTrial's fallback
- * path rebuilds from scratch.)
+ * byte length and an FNV-1a fingerprint. Each image's bytes are hashed
+ * once, where the image is applied: loadCheckpointFile checks only the
+ * layout (magic, version, header, section bounds), and restoreCheckpoint
+ * validates the layout AND every section fingerprint before ANY state
+ * is applied, so truncation, version skew, and flipped bytes are
+ * rejected with a structured error and zero partial state. (If apply
+ * itself fails — only possible on a format bug the version check
+ * should have caught — the caller must discard the half-restored rig;
+ * runTrial's fallback path rebuilds from scratch.)
  */
 
 #ifndef PAGESIM_HARNESS_CHECKPOINT_HH
@@ -138,9 +140,11 @@ CheckpointError captureCheckpoint(const RigView &rig,
 /**
  * Validate @p ckpt and apply it to @p rig, a freshly built rig
  * (TrialRigOptions::forRestore) of the SAME configuration and seed.
- * All validation (magic, version, config hash, seed, every section
- * fingerprint, layout replay) happens before any state is touched; on
- * a validation error the rig is untouched. On an apply error (format
+ * All validation (magic, version, section bounds, every section
+ * fingerprint, config hash, seed, layout replay) happens before any
+ * state is touched; on a validation error the rig is untouched. This
+ * is the one place an image's fingerprints are checked, so @p ckpt may
+ * come from a file or from edited bytes. On an apply error (format
  * bug) the rig must be discarded.
  */
 CheckpointError restoreCheckpoint(const RigView &rig,
@@ -153,9 +157,11 @@ CheckpointError saveCheckpointFile(const std::string &path,
                                    const Checkpoint &ckpt);
 
 /**
- * Read and fully validate a checkpoint image from @p path (header AND
- * every section fingerprint, so later restore cannot trip over
- * corruption mid-apply).
+ * Read a checkpoint image from @p path and check its layout: magic,
+ * version, header, and section bounds, so a truncated file fails here
+ * and @p out's key fields are trustworthy. Section fingerprints are
+ * NOT hashed here; restoreCheckpoint checks them before applying, so
+ * a flipped payload byte surfaces there as FingerprintMismatch.
  */
 CheckpointError loadCheckpointFile(const std::string &path,
                                    Checkpoint &out);

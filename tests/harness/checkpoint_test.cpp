@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -564,8 +565,9 @@ TEST(CheckpointCorruption, FileRoundTripAndDiskErrors)
     EXPECT_EQ(loaded.when, good.when);
     EXPECT_EQ(loaded.refs, good.refs);
 
-    // A file truncated on disk fails at LOAD time, with the full
-    // fingerprint sweep — restore never sees a corrupt image.
+    // A file truncated on disk fails at LOAD time: the layout parse
+    // finds a section running past the end, so no fingerprint needs
+    // hashing and restore never sees the image.
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(reinterpret_cast<const char *>(good.bytes.data()),
@@ -652,6 +654,120 @@ TEST(CheckpointCorruption, OutOfRangeEnumIsADecodeError)
     EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.kind, CheckpointError::Kind::Unsupported)
         << err.message;
+}
+
+/** Flip one byte in the middle of the frames payload of file @p path. */
+void
+flipFramesByteOnDisk(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    std::uint64_t len = 0;
+    const std::size_t payload = sectionPayload(bytes, "frames", len);
+    ASSERT_GT(len, 0u);
+    bytes[payload + len / 2] ^= 0x01;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CheckpointCorruption, FlippedByteOnDiskIsRejectedAtRestore)
+{
+    // The file load checks only the layout; a flipped payload byte
+    // keeps the layout intact, so it loads and is caught by restore's
+    // fingerprint check before anything is applied.
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const std::uint64_t hash = configPrefixHash(cfg);
+    const TrialResult straight = runTrial(cfg, seed);
+    cfg.checkpointAt = straight.totalTouches / 2;
+    const Checkpoint good = captureAtBoundary(cfg, seed);
+
+    const std::string path =
+        ::testing::TempDir() + "pagesim-ckpt-flipped-" +
+        std::to_string(::getpid()) + ".bin";
+    ASSERT_TRUE(saveCheckpointFile(path, good).ok());
+    flipFramesByteOnDisk(path);
+
+    Checkpoint loaded;
+    const CheckpointError load = loadCheckpointFile(path, loaded);
+    std::remove(path.c_str());
+    ASSERT_TRUE(load.ok()) << load.message;
+    EXPECT_NE(loaded.bytes, good.bytes);
+
+    TrialRig rig(cfg, seed, TrialRigOptions{/*forRestore=*/true});
+    const CheckpointError err =
+        restoreCheckpoint(rig.view(), hash, seed, loaded);
+    EXPECT_EQ(err.kind, CheckpointError::Kind::FingerprintMismatch)
+        << err.message;
+    const CheckpointError retry =
+        restoreCheckpoint(rig.view(), hash, seed, good);
+    EXPECT_TRUE(retry.ok()) << "the rejected image applied state: "
+                            << retry.message;
+}
+
+TEST(CheckpointSweep, CorruptDiskImageIsReplaced)
+{
+    // Disk-tier fault injection: a persisted image with one corrupt
+    // payload byte is rejected at restore, the trial re-simulates
+    // cold, and the re-captured image overwrites the corrupt file, so
+    // the next lookup loads a good image instead of failing again.
+    const std::string dir = ::testing::TempDir() +
+                            "pagesim-ckpt-corrupt-disk-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    setenv("PAGESIM_CHECKPOINT_DIR", dir.c_str(), 1);
+
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 555;
+    const TrialResult straight = runTrial(cfg, seed);
+    ASSERT_GT(straight.totalTouches, 0u);
+    const std::uint64_t want = fingerprint(straight);
+    cfg.checkpointAt = straight.totalTouches / 2;
+
+    CheckpointCache &cache = CheckpointCache::instance();
+    cache.clear();
+    runTrial(cfg, seed); // persists the one image to dir
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path().string());
+    ASSERT_EQ(files.size(), 1u);
+    const std::string path = files.front();
+    flipFramesByteOnDisk(path);
+
+    cache.clear();
+    const TrialResult recovered = runTrial(cfg, seed);
+    EXPECT_EQ(fingerprint(recovered), want)
+        << "a corrupt image must fall back to cold simulation";
+    EXPECT_EQ(cache.diskLoads(), 1u)
+        << "the corrupt image's layout is intact, so it loads";
+
+    // The re-captured image replaced the corrupt file.
+    Checkpoint replaced;
+    const CheckpointError load = loadCheckpointFile(path, replaced);
+    ASSERT_TRUE(load.ok()) << load.message;
+    {
+        TrialRig rig(cfg, seed, TrialRigOptions{/*forRestore=*/true});
+        const CheckpointError err = restoreCheckpoint(
+            rig.view(), configPrefixHash(cfg), seed, replaced);
+        EXPECT_TRUE(err.ok()) << err.message;
+    }
+
+    cache.clear();
+    const TrialResult warm = runTrial(cfg, seed);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.diskLoads(), 1u);
+    EXPECT_EQ(fingerprint(warm), want);
+
+    unsetenv("PAGESIM_CHECKPOINT_DIR");
+    cache.clear();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointCorruption, CaptureRefusedOffQuiescentPoint)
