@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 
 namespace pagesim
 {
@@ -199,6 +200,42 @@ TEST(Zipfian, DeterministicTrace)
     ZipfianGenerator z1(500, 0.9, true), z2(500, 0.9, true);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(z1.next(r1), z2.next(r2));
+}
+
+/** The first 1,000 draws of @p z from Rng(seed 47). */
+std::vector<std::uint64_t>
+zipfPrefix(const ZipfianGenerator &z)
+{
+    Rng r(47);
+    std::vector<std::uint64_t> draws(1000);
+    for (std::uint64_t &d : draws)
+        d = z.next(r);
+    return draws;
+}
+
+/** FNV-1a over a draw sequence's bytes. */
+std::uint64_t
+drawsFingerprint(const std::vector<std::uint64_t> &draws)
+{
+    return fnv1a(draws.data(), draws.size() * sizeof(draws[0]));
+}
+
+/** zipfPrefix of a (48,000, 0.99) generator, as recorded before the
+ *  (n, theta) constants were memoized. */
+constexpr std::uint64_t kZipfPrefixPin = 5836510666787266835ull;
+
+TEST(Zipfian, FirstThousandDrawsPinned)
+{
+    // YCSB's default shape at 48,000 items: any drift in zeta(n),
+    // zeta(2) or eta moves a draw, and with it this fingerprint.
+    const std::vector<std::uint64_t> draws =
+        zipfPrefix(ZipfianGenerator(48000, 0.99));
+    const std::vector<std::uint64_t> head(draws.begin(),
+                                          draws.begin() + 8);
+    EXPECT_EQ(head, (std::vector<std::uint64_t>{38171, 37141, 8555, 12228,
+                                                38465, 15535, 27287,
+                                                46346}));
+    EXPECT_EQ(drawsFingerprint(draws), kZipfPrefixPin);
 }
 
 } // namespace
