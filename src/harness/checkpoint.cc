@@ -131,18 +131,23 @@ parseLayout(const std::vector<std::uint8_t> &bytes, ParsedImage &out)
 
 /**
  * Hash every section payload of a parsed image against its stored
- * fingerprint. After parseLayout and this both return ok(), a later
- * apply can only fail on a semantic mismatch, never on corruption.
+ * fingerprint; the first mismatch in section order is reported. After
+ * parseLayout and this both return ok(), a later apply can only fail
+ * on a semantic mismatch, never on corruption.
  */
 CheckpointError
 checkFingerprints(const ParsedImage &img)
 {
+    std::vector<ByteSpan> payloads;
+    payloads.reserve(img.sections.size());
     for (const ParsedSection &sec : img.sections)
-        if (fnv1a(sec.payload.data(), sec.payload.size()) !=
-            sec.fingerprint)
-            return makeError(
-                CheckpointError::Kind::FingerprintMismatch,
-                "section '" + sec.name + "' fingerprint mismatch");
+        payloads.push_back({sec.payload.data(), sec.payload.size()});
+    const std::vector<std::uint64_t> hashes = fnv1aEach(payloads);
+    for (std::size_t i = 0; i < img.sections.size(); ++i)
+        if (hashes[i] != img.sections[i].fingerprint)
+            return makeError(CheckpointError::Kind::FingerprintMismatch,
+                             "section '" + img.sections[i].name +
+                                 "' fingerprint mismatch");
     return {};
 }
 
@@ -310,11 +315,17 @@ captureCheckpoint(const RigView &rig, std::uint64_t config_hash,
     image.u64(rig.sim->now());
     image.u64(refs);
     image.u32(static_cast<std::uint32_t>(sections.size()));
-    for (const auto &[name, payload] : sections) {
+    std::vector<ByteSpan> payloads;
+    payloads.reserve(sections.size());
+    for (const auto &[name, payload] : sections)
+        payloads.push_back({payload.data().data(), payload.size()});
+    const std::vector<std::uint64_t> fingerprints = fnv1aEach(payloads);
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        const auto &[name, payload] = sections[i];
         image.u32(static_cast<std::uint32_t>(std::strlen(name)));
         image.bytes(name, std::strlen(name));
         image.u64(payload.size());
-        image.u64(fnv1a(payload.data().data(), payload.size()));
+        image.u64(fingerprints[i]);
         image.bytes(payload.data().data(), payload.size());
     }
 
@@ -466,6 +477,12 @@ saveCheckpointFile(const std::string &path, const Checkpoint &ckpt)
 CheckpointError
 loadCheckpointFile(const std::string &path, Checkpoint &out)
 {
+    // A directory opens and seeks like a file, to an end offset that
+    // can be 2^63 - 1: sizing a buffer from it would throw bad_alloc.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec))
+        return makeError(CheckpointError::Kind::Io,
+                         "'" + path + "' is not a regular file");
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         return makeError(CheckpointError::Kind::Io,

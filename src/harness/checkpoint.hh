@@ -152,14 +152,19 @@ CheckpointError restoreCheckpoint(const RigView &rig,
                                   std::uint64_t seed,
                                   const Checkpoint &ckpt);
 
-/** Write @p ckpt's image to @p path (atomically via temp + rename). */
+/**
+ * Write @p ckpt's image to @p path (atomically via temp + rename). On
+ * any failure, a failed rename included, the temp file is removed and
+ * the result is Io.
+ */
 CheckpointError saveCheckpointFile(const std::string &path,
                                    const Checkpoint &ckpt);
 
 /**
  * Read a checkpoint image from @p path and check its layout: magic,
  * version, header, and section bounds, so a truncated file fails here
- * and @p out's key fields are trustworthy. Section fingerprints are
+ * and @p out's key fields are trustworthy; a path that is not a
+ * regular file (a directory, say) is Io. Section fingerprints are
  * NOT hashed here; restoreCheckpoint checks them before applying, so
  * a flipped payload byte surfaces there as FingerprintMismatch.
  */

@@ -1,6 +1,6 @@
 #include "harness/experiment.hh"
 
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +12,7 @@
 #include "graph/pagerank_workload.hh"
 #include "kv/ycsb_workload.hh"
 #include "metrics/export.hh"
+#include "sim/env.hh"
 #include "tpch/tpch_workload.hh"
 #include "workload/file_buffer_workload.hh"
 
@@ -167,16 +168,26 @@ namespace
 /**
  * PAGESIM_AUDIT_EVERY=N forces a full cross-layer invariant audit
  * every N reclaim batches in every trial, aborting on the first
- * violation (the CI sanitizer job sets N=1). Unset or invalid leaves
- * the MmConfig default (off) — audits are not free. Cached once per
- * process like the other launch-time knobs; tests that mutate the
- * environment call detail::refreshAuditEveryOverrideCacheForTests().
+ * violation (the CI sanitizer job sets N=1). Unset or 0 leaves the
+ * MmConfig default (off) — audits are not free; anything else exits
+ * with status 2 (sim/env.hh). Cached once per process like the other
+ * launch-time knobs; tests that mutate the environment call
+ * detail::refreshAuditEveryOverrideCacheForTests().
  */
+std::optional<unsigned>
+readAuditEveryOverride()
+{
+    return envKnob("PAGESIM_AUDIT_EVERY",
+                   "a whole number of reclaim batches, 0 (off) or more",
+                   [](const char *text) {
+                       return parseCount(text, 0, UINT32_MAX);
+                   });
+}
+
 std::optional<unsigned> &
 auditEveryOverrideCache()
 {
-    static std::optional<unsigned> cache =
-        parseTrialsOverride(std::getenv("PAGESIM_AUDIT_EVERY"));
+    static std::optional<unsigned> cache = readAuditEveryOverride();
     return cache;
 }
 
@@ -191,21 +202,9 @@ auditEveryOverrideCache()
 std::optional<MetricsMode>
 metricsModeOverride()
 {
-    static const std::optional<MetricsMode> cache = [] {
-        const char *text = std::getenv("PAGESIM_METRICS");
-        if (text == nullptr || *text == '\0')
-            return std::optional<MetricsMode>{};
-        const std::optional<MetricsMode> mode = parseMetricsMode(text);
-        if (!mode) {
-            std::fprintf(stderr,
-                         "pagesim: PAGESIM_METRICS=%s is not a metrics "
-                         "mode; accepted: off, counters, full "
-                         "(or on, 1)\n",
-                         text);
-            std::exit(2);
-        }
-        return mode;
-    }();
+    static const std::optional<MetricsMode> cache =
+        envKnob("PAGESIM_METRICS", "off, counters, full (or on, 1)",
+                parseMetricsMode);
     return cache;
 }
 
@@ -230,8 +229,7 @@ effectiveAuditEvery()
 void
 detail::refreshAuditEveryOverrideCacheForTests()
 {
-    auditEveryOverrideCache() =
-        parseTrialsOverride(std::getenv("PAGESIM_AUDIT_EVERY"));
+    auditEveryOverrideCache() = readAuditEveryOverride();
 }
 
 MetricsConfig
@@ -316,25 +314,23 @@ runTrial(const ExperimentConfig &config, std::uint64_t trial_seed)
 std::optional<unsigned>
 parseTrialsOverride(const char *text)
 {
-    if (text == nullptr || *text == '\0')
-        return std::nullopt;
-    char *end = nullptr;
-    const long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || n <= 0 ||
-        n > static_cast<long>(UINT32_MAX)) {
-        return std::nullopt;
-    }
-    return static_cast<unsigned>(n);
+    return parseCount(text, 1, UINT32_MAX);
 }
 
 namespace
 {
 
+std::optional<unsigned>
+readTrialsOverride()
+{
+    return envKnob("PAGESIM_TRIALS", "a whole number of trials, 1 or more",
+                   parseTrialsOverride);
+}
+
 std::optional<unsigned> &
 trialsOverrideCache()
 {
-    static std::optional<unsigned> cache =
-        parseTrialsOverride(std::getenv("PAGESIM_TRIALS"));
+    static std::optional<unsigned> cache = readTrialsOverride();
     return cache;
 }
 
@@ -355,8 +351,7 @@ effectiveTrials(unsigned configured)
 void
 detail::refreshTrialsOverrideCacheForTests()
 {
-    trialsOverrideCache() =
-        parseTrialsOverride(std::getenv("PAGESIM_TRIALS"));
+    trialsOverrideCache() = readTrialsOverride();
 }
 
 ExperimentResult

@@ -248,14 +248,16 @@ ExperimentResult runExperiment(const ExperimentConfig &config);
 /**
  * Parse a PAGESIM_TRIALS-style override string.
  * @return nullopt for missing, empty, non-numeric, trailing-garbage,
- *         zero, or negative values (i.e. "no override").
+ *         zero, or negative values.
  */
 std::optional<unsigned> parseTrialsOverride(const char *text);
 
 /**
  * config.trials after applying the PAGESIM_TRIALS env override.
  * The environment is read and parsed once per process (the override
- * is a launch-time knob, and this sits on the sweep hot path).
+ * is a launch-time knob, and this sits on the sweep hot path). A set
+ * value parseTrialsOverride() rejects is a launch error: the process
+ * prints the accepted values and exits with status 2.
  */
 unsigned effectiveTrials(const ExperimentConfig &config);
 
@@ -293,7 +295,9 @@ std::string writeTrialArtifacts(const std::string &dir,
 /**
  * The MmConfig::auditEvery value trials actually run with: the
  * PAGESIM_AUDIT_EVERY env override if set (cached once per process),
- * else 0. Exposed so sweep-level result caching can key on it.
+ * else 0; 0 means off. A value that is not a whole number exits with
+ * status 2, like PAGESIM_TRIALS. Exposed so sweep-level result caching
+ * can key on it.
  */
 unsigned effectiveAuditEvery();
 

@@ -1,30 +1,39 @@
 #include "sim/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
+#include <optional>
 #include <thread>
 #include <vector>
+
+#include "sim/env.hh"
 
 namespace pagesim
 {
 
+namespace
+{
+
+std::optional<unsigned>
+parseWorkers(const char *text)
+{
+    return parseCount(text, 1, 1024);
+}
+
+} // namespace
+
 unsigned
 parseWorkersOverride(const char *text)
 {
-    if (text == nullptr || *text == '\0')
-        return 0;
-    char *end = nullptr;
-    const long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || n <= 0 || n > 1024)
-        return 0;
-    return static_cast<unsigned>(n);
+    return parseWorkers(text).value_or(0);
 }
 
 unsigned
 workerOverride()
 {
     static const unsigned cached =
-        parseWorkersOverride(std::getenv("PAGESIM_WORKERS"));
+        envKnob("PAGESIM_WORKERS", "a whole number from 1 to 1024",
+                parseWorkers)
+            .value_or(0);
     return cached;
 }
 

@@ -28,11 +28,15 @@ namespace pagesim
 /**
  * Parse a PAGESIM_WORKERS-style override string. @return the worker
  * count, or 0 when @p text is null, empty, non-numeric, non-positive,
- * or absurd (> 1024) — 0 meaning "no override".
+ * or absurd (> 1024).
  */
 unsigned parseWorkersOverride(const char *text);
 
-/** Cached PAGESIM_WORKERS env override; 0 = unset/invalid. */
+/**
+ * Cached PAGESIM_WORKERS env override; 0 = unset. A value
+ * parseWorkersOverride() rejects exits the process with status 2
+ * (see sim/env.hh).
+ */
 unsigned workerOverride();
 
 /**

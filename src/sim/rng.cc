@@ -1,6 +1,9 @@
 #include "sim/rng.hh"
 
 #include <cassert>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace pagesim
 {
@@ -21,6 +24,53 @@ inline std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** sum_{i=1..n} i^-theta, in ascending i. */
+double
+zeta(std::uint64_t n, double theta)
+{
+    double sum = 0.0;
+    for (std::uint64_t i = 1; i <= n; ++i)
+        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    return sum;
+}
+
+/** The process-wide zeta memo (see ZipfianGenerator). */
+struct ZetaMemo
+{
+    std::mutex mutex;
+    std::map<std::pair<std::uint64_t, double>, double> sums;
+};
+
+ZetaMemo &
+zetaMemo()
+{
+    static ZetaMemo memo;
+    return memo;
+}
+
+/**
+ * zeta(n, theta) through the memo. A miss sums outside the lock, so
+ * trials building different shapes do not queue behind each other;
+ * two racing on one shape compute the same value and the first store
+ * wins.
+ */
+double
+memoizedZeta(std::uint64_t n, double theta)
+{
+    ZetaMemo &memo = zetaMemo();
+    const auto key = std::make_pair(n, theta);
+    {
+        const std::lock_guard<std::mutex> lock(memo.mutex);
+        if (const auto it = memo.sums.find(key); it != memo.sums.end())
+            return it->second;
+    }
+    const double sum = zeta(n, theta);
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    if (memo.sums.size() < ZipfianGenerator::kZetaMemoCap)
+        memo.sums.emplace(key, sum);
+    return sum;
 }
 
 } // namespace
@@ -149,7 +199,7 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
 {
     assert(n_ >= 1);
     assert(theta_ > 0.0 && theta_ < 1.0);
-    zetan_ = zeta(n_, theta_);
+    zetan_ = memoizedZeta(n_, theta_);
     const double zeta2 = zeta(2, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
@@ -157,13 +207,12 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
     thetaPowHalf_ = std::pow(0.5, theta_);
 }
 
-double
-ZipfianGenerator::zeta(std::uint64_t n, double theta)
+std::size_t
+ZipfianGenerator::memoizedShapes()
 {
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    return sum;
+    ZetaMemo &memo = zetaMemo();
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    return memo.sums.size();
 }
 
 std::uint64_t

@@ -13,6 +13,7 @@
 #define PAGESIM_SIM_RNG_HH
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,12 +100,23 @@ class Rng
  * identical to the generator in the YCSB reference implementation. With
  * scramble() enabled, ranks are permuted through a 64-bit hash so hot
  * items are scattered across the key space (YCSB's ScrambledZipfian).
+ *
+ * zeta(n, theta) is a sum of n pow() calls (about 4 ms at 262,144
+ * items), and every trial builds a generator per stream over the same
+ * few shapes. The sums are therefore memoized once per process per
+ * (n, theta), in a mutex-guarded table of at most kZetaMemoCap
+ * entries; past the cap a new shape is summed on every construction
+ * and not stored. A memoized sum is the same loop in the same order,
+ * so draws are bit-identical either way.
  */
 class ZipfianGenerator
 {
   public:
     /** YCSB's default skew. */
     static constexpr double kDefaultTheta = 0.99;
+
+    /** Most (n, theta) zeta sums the process-wide memo keeps. */
+    static constexpr std::size_t kZetaMemoCap = 256;
 
     /**
      * @param n      number of items
@@ -120,9 +132,10 @@ class ZipfianGenerator
     std::uint64_t itemCount() const { return n_; }
     double theta() const { return theta_; }
 
-  private:
-    static double zeta(std::uint64_t n, double theta);
+    /** (n, theta) shapes the zeta memo holds; at most kZetaMemoCap. */
+    static std::size_t memoizedShapes();
 
+  private:
     std::uint64_t n_;
     double theta_;
     bool scrambled_;

@@ -70,6 +70,55 @@ fnv1a(const void *data, std::size_t len, std::uint64_t h = kFnvOffset)
     return h;
 }
 
+/** One byte range for fnv1aEach. */
+struct ByteSpan
+{
+    const void *data = nullptr;
+    std::size_t size = 0;
+};
+
+/**
+ * fnv1a() of every span, in order: element i equals
+ * fnv1a(spans[i].data, spans[i].size). One FNV-1a chain is a serial
+ * multiply per byte, so it runs at the multiplier's latency; here two
+ * independent chains advance in one loop. Lane A walks the longest
+ * span, lane B every other span in turn, and whichever lane outlasts
+ * the other finishes alone. A checkpoint image's two big sections,
+ * frames and spaces, thus share one pass (see harness/checkpoint.cc).
+ */
+inline std::vector<std::uint64_t>
+fnv1aEach(const std::vector<ByteSpan> &spans)
+{
+    std::vector<std::uint64_t> out(spans.size());
+    if (spans.empty())
+        return out;
+    const std::size_t longest = static_cast<std::size_t>(
+        std::max_element(spans.begin(), spans.end(),
+                         [](const ByteSpan &x, const ByteSpan &y) {
+                             return x.size < y.size;
+                         }) -
+        spans.begin());
+    const auto *a = static_cast<const unsigned char *>(spans[longest].data);
+    std::size_t aLeft = spans[longest].size;
+    std::uint64_t ha = kFnvOffset;
+    for (std::size_t j = 0; j < spans.size(); ++j) {
+        if (j == longest)
+            continue;
+        const auto *b = static_cast<const unsigned char *>(spans[j].data);
+        const std::size_t both = std::min(spans[j].size, aLeft);
+        std::uint64_t hb = kFnvOffset;
+        for (std::size_t i = 0; i < both; ++i) {
+            ha = (ha ^ a[i]) * kFnvPrime;
+            hb = (hb ^ b[i]) * kFnvPrime;
+        }
+        a += both;
+        aLeft -= both;
+        out[j] = fnv1a(b + both, spans[j].size - both, hb);
+    }
+    out[longest] = fnv1a(a, aLeft, ha);
+    return out;
+}
+
 /** FNV-1a over a NUL-terminated string (used for config hashing). */
 inline std::uint64_t
 fnv1aStr(const char *s, std::uint64_t h = kFnvOffset)

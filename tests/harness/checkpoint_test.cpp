@@ -711,6 +711,103 @@ TEST(CheckpointCorruption, FlippedByteOnDiskIsRejectedAtRestore)
                             << retry.message;
 }
 
+TEST(CheckpointCorruption, FirstMismatchInSectionOrderIsReported)
+{
+    // Restore hashes every section before it compares any stored
+    // fingerprint, but the error names the first damaged section in
+    // image order: spaces precedes frames, the section hashed beside
+    // all the others.
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 12345;
+    const std::uint64_t hash = configPrefixHash(cfg);
+    const TrialResult straight = runTrial(cfg, seed);
+    cfg.checkpointAt = straight.totalTouches / 2;
+    const Checkpoint good = captureAtBoundary(cfg, seed);
+
+    Checkpoint bad = good;
+    for (const char *name : {"frames", "spaces"}) {
+        std::uint64_t len = 0;
+        const std::size_t payload = sectionPayload(bad.bytes, name, len);
+        ASSERT_GT(len, 0u) << name;
+        bad.bytes[payload + len / 2] ^= 0x01;
+
+        TrialRig rig(cfg, seed, TrialRigOptions{/*forRestore=*/true});
+        const CheckpointError err =
+            restoreCheckpoint(rig.view(), hash, seed, bad);
+        EXPECT_EQ(err.kind, CheckpointError::Kind::FingerprintMismatch)
+            << err.message;
+        EXPECT_EQ(err.message,
+                  std::string("section '") + name +
+                      "' fingerprint mismatch");
+        const CheckpointError retry =
+            restoreCheckpoint(rig.view(), hash, seed, good);
+        EXPECT_TRUE(retry.ok()) << "the rejected image applied state: "
+                                << retry.message;
+    }
+}
+
+TEST(CheckpointSweep, FailedRenameLeavesNoTempFile)
+{
+    // Disk-tier fault injection: the image's file name is taken by a
+    // non-empty directory, so renaming the fully written temp file
+    // fails. The save reports Io and removes its temp file; the
+    // cache's best-effort persistence shrugs the failure off, and the
+    // trial, cold and warm, still gives the straight-through result.
+    const std::string dir = ::testing::TempDir() +
+                            "pagesim-ckpt-failed-rename-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    setenv("PAGESIM_CHECKPOINT_DIR", dir.c_str(), 1);
+
+    ExperimentConfig cfg = smallConfig(WorkloadKind::YcsbA,
+                                       PolicyKind::MgLru, SwapKind::Ssd);
+    const std::uint64_t seed = 777;
+    const TrialResult straight = runTrial(cfg, seed);
+    ASSERT_GT(straight.totalTouches, 0u);
+    const std::uint64_t want = fingerprint(straight);
+    cfg.checkpointAt = straight.totalTouches / 2;
+
+    CheckpointCache &cache = CheckpointCache::instance();
+    cache.clear();
+    runTrial(cfg, seed); // persists the one image, naming its file
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files.push_back(entry.path().string());
+    ASSERT_EQ(files.size(), 1u);
+    const std::string path = files.front();
+    Checkpoint ckpt;
+    ASSERT_TRUE(loadCheckpointFile(path, ckpt).ok());
+
+    std::filesystem::remove(path);
+    std::filesystem::create_directory(path);
+    std::ofstream(path + "/occupant") << "not a checkpoint\n";
+
+    const CheckpointError save = saveCheckpointFile(path, ckpt);
+    EXPECT_EQ(save.kind, CheckpointError::Kind::Io) << save.message;
+
+    cache.clear();
+    const TrialResult cold = runTrial(cfg, seed);
+    EXPECT_EQ(fingerprint(cold), want);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.diskLoads(), 0u);
+    const TrialResult warm = runTrial(cfg, seed);
+    EXPECT_EQ(fingerprint(warm), want);
+    EXPECT_EQ(cache.hits(), 1u);
+
+    std::vector<std::string> left;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        left.push_back(entry.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>{
+                        std::filesystem::path(path).filename().string()})
+        << "a temp file outlived its failed rename";
+    EXPECT_TRUE(std::filesystem::exists(path + "/occupant"));
+
+    unsetenv("PAGESIM_CHECKPOINT_DIR");
+    cache.clear();
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointSweep, CorruptDiskImageIsReplaced)
 {
     // Disk-tier fault injection: a persisted image with one corrupt

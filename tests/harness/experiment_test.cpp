@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "harness/experiment.hh"
 
@@ -61,11 +62,9 @@ TEST(Experiment, EffectiveTrialsHonorsEnv)
     setenv("PAGESIM_TRIALS", "3", 1);
     detail::refreshTrialsOverrideCacheForTests();
     EXPECT_EQ(effectiveTrials(cfg), 3u);
-    // Malformed values fall back to the config.
-    setenv("PAGESIM_TRIALS", "garbage", 1);
-    detail::refreshTrialsOverrideCacheForTests();
-    EXPECT_EQ(effectiveTrials(cfg), 8u);
-    setenv("PAGESIM_TRIALS", "0", 1);
+    // An empty value is unset; malformed values stop the process
+    // (EnvKnobDeathTest below).
+    setenv("PAGESIM_TRIALS", "", 1);
     detail::refreshTrialsOverrideCacheForTests();
     EXPECT_EQ(effectiveTrials(cfg), 8u);
     unsetenv("PAGESIM_TRIALS");
@@ -78,6 +77,52 @@ TEST(Experiment, EffectiveTrialsHonorsEnv)
     EXPECT_EQ(effectiveTrials(cfg), 8u);
     unsetenv("PAGESIM_TRIALS");
     detail::refreshTrialsOverrideCacheForTests();
+}
+
+TEST(EnvKnobDeathTest, MalformedTrialsOrAuditEveryExitsWithAcceptedValues)
+{
+    // Each child re-executes the test binary (threadsafe style), so
+    // it reads the environment set here afresh.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"garbage", "0", "-2", "3x"}) {
+        setenv("PAGESIM_TRIALS", bad, 1);
+        EXPECT_EXIT(detail::refreshTrialsOverrideCacheForTests(),
+                    ::testing::ExitedWithCode(2),
+                    std::string("PAGESIM_TRIALS=") + bad +
+                        " is not valid; accepted: a whole number")
+            << bad;
+    }
+    unsetenv("PAGESIM_TRIALS");
+    for (const char *bad : {"garbage", "-1", "8 "}) {
+        setenv("PAGESIM_AUDIT_EVERY", bad, 1);
+        EXPECT_EXIT(detail::refreshAuditEveryOverrideCacheForTests(),
+                    ::testing::ExitedWithCode(2),
+                    std::string("PAGESIM_AUDIT_EVERY=") + bad +
+                        " is not valid; accepted: .*0 \\(off\\)")
+            << bad;
+    }
+    unsetenv("PAGESIM_AUDIT_EVERY");
+    detail::refreshTrialsOverrideCacheForTests();
+    detail::refreshAuditEveryOverrideCacheForTests();
+}
+
+TEST(EnvKnob, AuditEveryZeroMeansOff)
+{
+    // perfbench pins PAGESIM_AUDIT_EVERY=0 on every run: it must stay
+    // a valid value, meaning no audits, not a launch error.
+    const char *ambient = std::getenv("PAGESIM_AUDIT_EVERY");
+    const std::string saved = ambient != nullptr ? ambient : "";
+    setenv("PAGESIM_AUDIT_EVERY", "0", 1);
+    detail::refreshAuditEveryOverrideCacheForTests();
+    EXPECT_EQ(effectiveAuditEvery(), 0u);
+    setenv("PAGESIM_AUDIT_EVERY", "16", 1);
+    detail::refreshAuditEveryOverrideCacheForTests();
+    EXPECT_EQ(effectiveAuditEvery(), 16u);
+    if (saved.empty())
+        unsetenv("PAGESIM_AUDIT_EVERY");
+    else
+        setenv("PAGESIM_AUDIT_EVERY", saved.c_str(), 1);
+    detail::refreshAuditEveryOverrideCacheForTests();
 }
 
 TEST(Experiment, TrialIsDeterministicForSeed)

@@ -231,6 +231,22 @@ TEST(Sweep, WorkersOverrideParsing)
     EXPECT_EQ(parseWorkersOverride("1025"), 0u);
 }
 
+TEST(EnvKnobDeathTest, MalformedWorkersExitsWithAcceptedValues)
+{
+    // workerOverride() reads the environment once per process; the
+    // threadsafe style re-executes the binary, so the child reads it
+    // afresh.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"four", "0", "1025"}) {
+        setenv("PAGESIM_WORKERS", bad, 1);
+        EXPECT_EXIT(workerOverride(), ::testing::ExitedWithCode(2),
+                    std::string("PAGESIM_WORKERS=") + bad +
+                        " is not valid; accepted: .*1 to 1024")
+            << bad;
+    }
+    unsetenv("PAGESIM_WORKERS");
+}
+
 TEST(Sweep, ExplicitWorkersBeatsOverride)
 {
     // options.workers != 0 must win over the environment: figure

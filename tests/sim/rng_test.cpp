@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 
@@ -236,6 +237,46 @@ TEST(Zipfian, FirstThousandDrawsPinned)
                                                 38465, 15535, 27287,
                                                 46346}));
     EXPECT_EQ(drawsFingerprint(draws), kZipfPrefixPin);
+}
+
+/** The pinned prefix fingerprint of a (48,000, 0.99) generator built
+ *  on each of 4 parallelFor workers at once. */
+std::vector<std::uint64_t>
+concurrentPrefixFingerprints()
+{
+    std::vector<std::uint64_t> fps(4);
+    parallelFor(4, fps.size(), [&fps](std::size_t i) {
+        fps[i] = drawsFingerprint(zipfPrefix(ZipfianGenerator(48000, 0.99)));
+    });
+    return fps;
+}
+
+TEST(ZipfianMemo, ConcurrentBuildsDrawThePinnedPrefix)
+{
+    // ctest runs each test in its own process, so the memo starts
+    // with one other shape of the same n: the four workers race to
+    // sum and store (48,000, 0.99), then a later build reads it.
+    ZipfianGenerator(48000, 0.5);
+    for (std::uint64_t fp : concurrentPrefixFingerprints())
+        EXPECT_EQ(fp, kZipfPrefixPin);
+    EXPECT_EQ(drawsFingerprint(zipfPrefix(ZipfianGenerator(48000, 0.99))),
+              kZipfPrefixPin);
+}
+
+TEST(ZipfianMemo, BuildsPastTheCapDrawThePinnedPrefix)
+{
+    // Fill the memo with kZetaMemoCap other shapes of the same theta;
+    // (48,000, 0.99) is then summed on every build and never stored.
+    for (std::uint64_t n = 2; n < 2 + ZipfianGenerator::kZetaMemoCap; ++n)
+        ZipfianGenerator(n, 0.99);
+    EXPECT_EQ(ZipfianGenerator::memoizedShapes(),
+              ZipfianGenerator::kZetaMemoCap);
+    for (std::uint64_t fp : concurrentPrefixFingerprints())
+        EXPECT_EQ(fp, kZipfPrefixPin);
+    EXPECT_EQ(drawsFingerprint(zipfPrefix(ZipfianGenerator(48000, 0.99))),
+              kZipfPrefixPin);
+    EXPECT_EQ(ZipfianGenerator::memoizedShapes(),
+              ZipfianGenerator::kZetaMemoCap);
 }
 
 } // namespace
